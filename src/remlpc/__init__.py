@@ -7,7 +7,6 @@ from .calculus import (
     GradPair,
     NearDegenerateError,
     grad_B,
-    grad_functional,
     grad_zeta,
     hessian_B_bilinear,
     hessian_star_B_bilinear,
@@ -28,10 +27,9 @@ from .model import (
     kernel_l2_distance,
     kl_divergence,
     marginal_cov,
-    neg_loglik,
     optimal_parameter,
 )
-from .optimizer import FitConfig, FitResult, fit, init_params, step
+from .optimizer import FitConfig, FitResult, FunctionalObjective, MatrixObjective, fit, init_params, objective, step
 from .sim import (
     ExperimentConfig,
     design_concentration,

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CurveBatches, Dataset, ModelParams, curve_batches
-from .bspline import OrthoBasis
+from .model import CurveBatches
 from .stiefel import (
     ProductPoint,
+    ProductTangent,
     StiefelPoint,
     TangentVector,
     intrinsic_grad,
+    product_inner,
     split_tangent,
 )
 
@@ -200,27 +201,24 @@ class GradPair:
     B: TangentVector
     zeta: np.ndarray
 
+    def tangent(self) -> ProductTangent:
+        return ProductTangent(self.B, self.zeta)
 
-def grad_functional(
-    params: ModelParams,
-    data: Dataset,
-    basis: OrthoBasis,
-    batches: CurveBatches | None = None,
-) -> GradPair:
-    """Gradient of the functional-regime loss at the given parameters.
-
-    The Euclidean frame derivative is averaged over curves and then
-    projected to the tangent space; the zeta part is its exact diagonal
-    counterpart.  No m x m matrix is ever formed.
-    """
-    if batches is None:
-        batches = curve_batches(data, basis)
-    return grad_functional_raw(params.B, params.lam, params.sigma2, params.s, batches)
+    def norm(self) -> float:
+        """Product-metric norm: canonical on the frame, Euclidean on zeta."""
+        g = self.tangent()
+        return float(np.sqrt(product_inner(g, g)))
 
 
 def grad_functional_raw(
     point: StiefelPoint, lam: np.ndarray, sigma2: float, s: float, batches: CurveBatches
 ) -> GradPair:
+    """Gradient of the functional-regime loss at frame `point`, eigenvalues `lam`.
+
+    The Euclidean frame derivative is averaged over curves and then
+    projected to the tangent space; the zeta part is its exact diagonal
+    counterpart.  No m x m matrix is ever formed.
+    """
     B = point.B
     lam_eff = s * lam
     M, r = B.shape
@@ -243,20 +241,3 @@ def grad_functional_raw(
     F = F_acc * lam_eff / n
     gz = z_acc * lam_eff / (2.0 * n)
     return GradPair(B=intrinsic_grad(point, F), zeta=gz)
-
-
-def product_grad(
-    params: ModelParams,
-    data: Dataset,
-    basis: OrthoBasis | None = None,
-    batches: CurveBatches | None = None,
-) -> GradPair:
-    """Loss gradient for either regime, in (frame, zeta) coordinates."""
-    if data.regime == "matrix":
-        theta = ProductPoint(params.B, np.log(params.lam))
-        gB = grad_B_scaled(theta, data.cov, params.sigma2, params.s)
-        gz = grad_zeta_scaled(theta, data.cov, params.sigma2, params.s)
-        return GradPair(B=gB, zeta=gz)
-    if basis is None:
-        raise ValueError("functional regimes need a basis")
-    return grad_functional(params, data, basis, batches=batches)

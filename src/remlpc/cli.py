@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import matrixcase, optimizer, sim
 from .bspline import eval_basis, make_basis
-from .model import CurveData, Dataset, ModelParams, neg_loglik
+from .model import CurveData, Dataset, ModelParams, matrix_loss
 
 EXIT_OK = 0
 EXIT_NOCONV = 2
@@ -83,6 +84,8 @@ def read_curves_csv(path: str) -> Dataset:
                 y = float(row[2])
             except ValueError:
                 raise DataFormatError(f"{path}: row {lineno}: non-numeric t or y") from None
+            if not (math.isfinite(t) and math.isfinite(y)):
+                raise DataFormatError(f"{path}: row {lineno}: non-finite t or y")
             if not 0.0 <= t <= 1.0:
                 raise DataFormatError(f"{path}: row {lineno}: t={row[1]} outside [0, 1]")
             if cid not in groups:
@@ -126,6 +129,8 @@ def read_cov_csv(path: str) -> Dataset:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise DataFormatError(f"{path}: row {lineno}: non-numeric entry") from None
+            if not all(math.isfinite(v) for v in rows[-1]):
+                raise DataFormatError(f"{path}: row {lineno}: non-finite entry")
             if len(rows[-1]) != len(rows[0]):
                 raise DataFormatError(f"{path}: row {lineno}: ragged row")
     S = np.asarray(rows)
@@ -352,7 +357,7 @@ def _cmd_pca(args) -> int:
         raise DataFormatError(f"{args.data}: {e}") from None
     if args.out:
         write_params_json(args.out, params)
-    loss = neg_loglik(params, data)
+    loss = matrix_loss(params.B.B, params.lam, params.sigma2, params.s, data.cov)
     _say(args, f"loss={_fmt(loss)} lambda={','.join(_fmt(v) for v in params.lam)}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calculus, optimizer
 from .model import Dataset, DegenerateSpectrumError, ModelParams, canonicalize
-from .stiefel import ProductPoint, ProductTangent, StiefelPoint, product_inner
+from .stiefel import ProductPoint, StiefelPoint
 
 
 class SignalTooWeakError(ValueError):
@@ -72,11 +72,7 @@ def reml_equals_pca(
         config = optimizer.FitConfig(init="random", restarts=2, grad_tol=1e-9)
     pca = pca_fit(S, r, sigma2, s)
     theta = ProductPoint(pca.B, np.log(pca.lam))
-    g = ProductTangent(
-        calculus.grad_B_scaled(theta, S, sigma2, s),
-        calculus.grad_zeta_scaled(theta, S, sigma2, s),
-    )
-    gnorm = float(np.sqrt(product_inner(g, g)))
+    gnorm = optimizer.MatrixObjective(S, sigma2, s).grad(theta).norm()
     res = optimizer.fit(Dataset.matrix(S, n), None, r, sigma2, s, config)
     dB = float(np.linalg.norm(res.params.B.B - pca.B.B))
     dlam = float(np.linalg.norm(res.params.lam - pca.lam))

@@ -108,6 +108,8 @@ class CurveData:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if t.size < 1:
             raise ValueError("a curve needs at least one observation")
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValueError("design points and values must be finite")
         if t.min() < 0.0 or t.max() > 1.0:
             raise ValueError("design points must lie in [0, 1]")
         object.__setattr__(self, "times", t)
@@ -138,6 +140,8 @@ class Dataset:
             S = np.asarray(self.cov, dtype=float)
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError("sample covariance must be square")
+            if not np.isfinite(S).all():
+                raise ValueError("sample covariance must be finite")
             if not np.array_equal(S, S.T):
                 S = 0.5 * (S + S.T)
             if np.linalg.eigvalsh(S).min() < -1e-10:
@@ -242,30 +246,6 @@ def matrix_loss(B: np.ndarray, lam: np.ndarray, sigma2: float, s: float, S: np.n
     tr_term = (np.trace(S) - np.sum(np.diag(BtSB) / G)) / sigma2
     logdet = (M - r) * np.log(sigma2) + np.sum(np.log(s * lam + sigma2))
     return float(tr_term + logdet)
-
-
-def neg_loglik(params: ModelParams, data: Dataset, basis: OrthoBasis | None = None) -> float:
-    """Negative log likelihood, up to an additive constant.
-
-    Functional regimes: average over curves of the Gaussian marginal
-    terms, one half each.  Matrix regime: trace-plus-logdet loss of the
-    sample covariance, without the 1/2 factor (the convention the score
-    calculus differentiates).
-    """
-    if data.regime == "matrix":
-        return matrix_loss(params.B.B, params.lam, params.sigma2, params.s, data.cov)
-    if basis is None:
-        raise ValueError("functional regimes need a basis")
-    return functional_loss(
-        params.B.B, params.lam, params.sigma2, params.s, curve_batches(data, basis)
-    )
-
-
-def neg_loglik_terms(params: ModelParams, data: Dataset, basis: OrthoBasis) -> np.ndarray:
-    """Per-curve loss contributions in the dataset's curve order."""
-    return functional_terms(
-        params.B.B, params.lam, params.sigma2, params.s, curve_batches(data, basis)
-    )
 
 
 def kl_divergence(Sigma: np.ndarray, Sigma_star: np.ndarray) -> float:

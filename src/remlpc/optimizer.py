@@ -21,47 +21,41 @@ from .stiefel import (
     ProductPoint,
     ProductTangent,
     StiefelPoint,
-    TangentVector,
     product_exp,
     product_inner,
 )
 
 _EIG_FLOOR = 1e-6
+# Armijo backtracking: each rejected trial multiplies the step by
+# STEP_SHRINK, at most MAX_HALVINGS times.  ARMIJO_C is strict enough to
+# reject the tiny decreases of a cycling overshoot, loose enough to accept
+# exact Newton steps (which achieve slope / 2).
+STEP_SHRINK = 0.5
+ARMIJO_C = 0.1
+MAX_HALVINGS = 60
+# The descent also stops once LOSS_PATIENCE consecutive accepted steps each
+# improve the loss by less than LOSS_TOL relative; that exhaustion of
+# measurable decrease counts as convergence.
+LOSS_TOL = 1e-13
+LOSS_PATIENCE = 3
+# ridge of the pooled initializer's normal equations, relative to their scale
+INIT_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the geodesic descent loop.
 
-    grad_tol of None resolves per regime: 1e-8 for matrix data, 1e-6 for
-    curve data (whose loss is a long float sum, so its gradient cannot be
-    certified much below the rounding noise of that sum).  The descent
-    also stops once loss_patience consecutive accepted steps each improve
-    the loss by less than loss_tol relative; that exhaustion of measurable
-    decrease counts as convergence.
+    grad_tol of None takes the objective's own default (1e-8 for matrix
+    data, 1e-6 for curve data).
     """
 
     max_iter: int = 500
     grad_tol: float | None = None
-    step_shrink: float = 0.5
-    # strict enough to reject the tiny decreases of a cycling overshoot,
-    # loose enough to accept exact Newton steps (which achieve slope / 2)
-    armijo_c: float = 0.1
-    max_halvings: int = 60
-    loss_tol: float = 1e-13
-    loss_patience: int = 3
-    init: str = "pooled-pca"  # pooled-pca | given | random
-    init_params: ModelParams | None = None
+    init: str = "pooled-pca"  # pooled-pca | random
     restarts: int = 3
     seed: int = 0
     fisher: bool = True
-    init_ridge: float = 1e-8
-
-
-def resolve_grad_tol(config: FitConfig, regime: str) -> float:
-    if config.grad_tol is not None:
-        return config.grad_tol
-    return 1e-8 if regime == "matrix" else 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,65 +133,95 @@ def _random_start(M: int, r: int, rng: np.random.Generator):
     return StiefelPoint(B0), _strictly_decreasing(lam0)
 
 
-def init_params(
-    data: Dataset,
-    basis: OrthoBasis | None,
-    r: int,
-    sigma2: float,
-    s: float = 1.0,
-    config: FitConfig | None = None,
-    batches: CurveBatches | None = None,
-    rng: np.random.Generator | None = None,
-) -> ModelParams:
-    """Starting point for the descent (pooled PCA, supplied, or random)."""
-    config = config or FitConfig()
-    if config.init == "given":
-        if config.init_params is None:
-            raise ValueError("init='given' requires init_params")
-        return config.init_params
-    if config.init == "random":
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-        M = data.cov.shape[0] if data.regime == "matrix" else basis.M
-        B0, lam0 = _random_start(M, r, rng)
-    elif config.init == "pooled-pca":
-        if data.regime == "matrix":
-            B0, lam0 = _pooled_pca_matrix(data.cov, r, sigma2, s)
-        else:
-            if basis is None:
-                raise ValueError("functional regimes need a basis")
-            if batches is None:
-                batches = curve_batches(data, basis)
-            B0, lam0 = _pooled_fit_functional(batches, basis.M, r, config.init_ridge)
-    else:
-        raise ValueError(f"unknown init scheme {config.init!r}")
-    M = B0.shape[0]
-    return ModelParams(M=M, r=r, B=B0, lam=lam0, sigma2=sigma2, s=s)
+@dataclass(frozen=True)
+class FunctionalObjective:
+    """Curve-data loss: the average over curves of one half the Gaussian
+    negative log likelihood of each curve's marginal covariance.
 
+    Its default grad_tol is 1e-6: the loss is a long float sum, so its
+    gradient cannot be certified much below the rounding noise of that sum.
+    """
 
-def _loss(theta: ProductPoint, sigma2, s, data, batches):
-    if data.regime == "matrix":
-        return model.matrix_loss(theta.point.B, theta.lam, sigma2, s, data.cov)
-    return model.functional_loss(theta.point.B, theta.lam, sigma2, s, batches)
+    batches: CurveBatches
+    M: int
+    sigma2: float
+    s: float
+    grad_tol: float = 1e-6
 
+    @property
+    def dim(self) -> int:
+        return self.M
 
-def _grad(theta: ProductPoint, sigma2, s, data, batches) -> calculus.GradPair:
-    if data.regime == "matrix":
-        return calculus.GradPair(
-            B=calculus.grad_B_scaled(theta, data.cov, sigma2, s),
-            zeta=calculus.grad_zeta_scaled(theta, data.cov, sigma2, s),
+    def loss(self, theta: ProductPoint) -> float:
+        return model.functional_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.batches)
+
+    def grad(self, theta: ProductPoint) -> calculus.GradPair:
+        return calculus.grad_functional_raw(
+            theta.point, theta.lam, self.sigma2, self.s, self.batches
         )
-    return calculus.grad_functional_raw(theta.point, theta.lam, sigma2, s, batches)
+
+    def pooled_start(self, r: int):
+        return _pooled_fit_functional(self.batches, self.M, r, INIT_RIDGE)
 
 
-def _direction(theta, grad, sigma2, s, config) -> ProductTangent:
+@dataclass(frozen=True)
+class MatrixObjective:
+    """Sample-covariance loss tr(Gamma^-1 S) + log det Gamma (no 1/2 factor,
+    the convention the score calculus differentiates)."""
+
+    S: np.ndarray = field(repr=False)
+    sigma2: float
+    s: float
+    grad_tol: float = 1e-8
+
+    @property
+    def dim(self) -> int:
+        return self.S.shape[0]
+
+    def loss(self, theta: ProductPoint) -> float:
+        return model.matrix_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.S)
+
+    def grad(self, theta: ProductPoint) -> calculus.GradPair:
+        return calculus.GradPair(
+            B=calculus.grad_B_scaled(theta, self.S, self.sigma2, self.s),
+            zeta=calculus.grad_zeta_scaled(theta, self.S, self.sigma2, self.s),
+        )
+
+    def pooled_start(self, r: int):
+        return _pooled_pca_matrix(self.S, r, self.sigma2, self.s)
+
+
+Objective = FunctionalObjective | MatrixObjective
+
+
+def objective(data: Dataset, basis: OrthoBasis | None, sigma2: float, s: float = 1.0) -> Objective:
+    """The loss of the dataset's regime; the descent never looks at the regime again."""
+    if data.regime == "matrix":
+        return MatrixObjective(data.cov, sigma2, s)
+    if basis is None:
+        raise ValueError("functional regimes need a basis")
+    return FunctionalObjective(curve_batches(data, basis), basis.M, sigma2, s)
+
+
+def init_params(obj: Objective, r: int, init: str, rng: np.random.Generator) -> ModelParams:
+    """Starting point for the descent (pooled PCA or a random frame)."""
+    if init == "pooled-pca":
+        B0, lam0 = obj.pooled_start(r)
+    elif init == "random":
+        B0, lam0 = _random_start(obj.dim, r, rng)
+    else:
+        raise ValueError(f"unknown init scheme {init!r}")
+    return ModelParams(M=obj.dim, r=r, B=B0, lam=lam0, sigma2=obj.sigma2, s=obj.s)
+
+
+def _direction(theta, grad, obj: Objective, fisher: bool) -> ProductTangent:
     """Search direction: preconditioned by the closed-form population
     Hessian inverse when enabled (positive definite, hence always a
     descent direction), plain negative gradient otherwise."""
-    neg = ProductTangent(grad.B.scaled(-1.0), -grad.zeta)
-    if not config.fisher:
+    neg = grad.tangent().scaled(-1.0)
+    if not fisher:
         return neg
-    theta_n = ProductPoint(theta.point, theta.zeta + np.log(s) - np.log(sigma2))
+    theta_n = ProductPoint(theta.point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
     try:
         dB = calculus.inv_hessian_star_B(theta_n, grad.B).scaled(-1.0)
     except calculus.NearDegenerateError:
@@ -218,52 +242,45 @@ class StepInfo:
 
 def step(
     theta: ProductPoint,
-    sigma2: float,
-    s: float,
-    data: Dataset,
-    batches: CurveBatches | None,
+    obj: Objective,
     config: FitConfig,
+    loss0: float,
     t0: float = 1.0,
-    grad_tol: float | None = None,
-    loss0: float | None = None,
 ) -> tuple[ProductPoint, StepInfo]:
-    """One Armijo-backtracked geodesic step.  Never increases the loss."""
-    if grad_tol is None:
-        grad_tol = resolve_grad_tol(config, data.regime)
-    if loss0 is None:
-        loss0 = _loss(theta, sigma2, s, data, batches)
-    grad = _grad(theta, sigma2, s, data, batches)
-    gvec = ProductTangent(grad.B, grad.zeta)
-    gnorm = float(np.sqrt(product_inner(gvec, gvec)))
-    if gnorm < grad_tol:
+    """One Armijo-backtracked geodesic step from a point whose loss is loss0.
+
+    Never increases the loss; returns theta unmoved (step size 0) once the
+    gradient norm is below obj.grad_tol.
+    """
+    grad = obj.grad(theta)
+    gnorm = grad.norm()
+    if gnorm < obj.grad_tol:
         return theta, StepInfo(loss0, gnorm, 0.0, 0, False)
-    d = _direction(theta, grad, sigma2, s, config)
-    slope = product_inner(gvec, d)
+    d = _direction(theta, grad, obj, config.fisher)
+    g = grad.tangent()
+    slope = product_inner(g, d)
     if slope >= 0.0:  # fall back if preconditioning failed to give descent
-        d = ProductTangent(grad.B.scaled(-1.0), -grad.zeta)
+        d = g.scaled(-1.0)
         slope = -gnorm**2
     t = t0
-    for h in range(config.max_halvings + 1):
+    for h in range(MAX_HALVINGS + 1):
         cand = product_exp(theta, d, t)
-        loss_t = _loss(cand, sigma2, s, data, batches)
-        if loss_t <= loss0 + config.armijo_c * t * slope:
+        loss_t = obj.loss(cand)
+        if loss_t <= loss0 + ARMIJO_C * t * slope:
             return cand, StepInfo(loss_t, gnorm, t, h, False)
-        t *= config.step_shrink
-    return theta, StepInfo(loss0, gnorm, 0.0, config.max_halvings, True)
+        t *= STEP_SHRINK
+    return theta, StepInfo(loss0, gnorm, 0.0, MAX_HALVINGS, True)
 
 
-def _run_descent(theta, sigma2, s, data, batches, config, grad_tol):
-    trace = [_loss(theta, sigma2, s, data, batches)]
+def _run_descent(theta, obj: Objective, config: FitConfig):
+    trace = [obj.loss(theta)]
     t_prev = 1.0
     iters = 0
     tiny = 0
     reason = "max-iter"
     while iters < config.max_iter:
         t0 = min(max(4.0 * t_prev, 1e-2), 1.0)
-        theta_new, info = step(
-            theta, sigma2, s, data, batches, config,
-            t0=t0, grad_tol=grad_tol, loss0=trace[-1],
-        )
+        theta_new, info = step(theta, obj, config, trace[-1], t0)
         if info.stalled:
             reason = "line-search"
             break
@@ -275,8 +292,8 @@ def _run_descent(theta, sigma2, s, data, batches, config, grad_tol):
         theta = theta_new
         trace.append(info.loss)
         t_prev = info.step_size
-        tiny = tiny + 1 if decrease <= config.loss_tol * (1.0 + abs(info.loss)) else 0
-        if tiny >= config.loss_patience:
+        tiny = tiny + 1 if decrease <= LOSS_TOL * (1.0 + abs(info.loss)) else 0
+        if tiny >= LOSS_PATIENCE:
             reason = "loss-tol"
             break
     return theta, np.asarray(trace), reason, iters
@@ -297,26 +314,20 @@ def fit(
     The restart with the lowest final loss wins, earliest index on ties.
     """
     config = config or FitConfig()
-    grad_tol = resolve_grad_tol(config, data.regime)
-    batches = None
-    if data.regime != "matrix":
-        if basis is None:
-            raise ValueError("functional regimes need a basis")
-        batches = curve_batches(data, basis)
-    dim = basis.M if basis is not None else data.cov.shape[0]
-    if r < 1 or r > dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {r}")
+    obj = objective(data, basis, sigma2, s)
+    if config.grad_tol is not None:
+        obj = replace(obj, grad_tol=config.grad_tol)
+    if r < 1 or r > obj.dim:
+        raise ValueError(f"rank must be in [1, {obj.dim}], got {r}")
 
     best = None
     for ridx in range(max(1, config.restarts)):
-        cfg0 = config if ridx == 0 else replace(config, init="random")
+        init = config.init if ridx == 0 else "random"
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, ridx]))
-        start = init_params(data, basis, r, sigma2, s, config=cfg0, batches=batches, rng=rng)
+        start = init_params(obj, r, init, rng)
         theta0 = ProductPoint(start.B, np.log(start.lam))
-        theta, trace, reason, it = _run_descent(theta0, sigma2, s, data, batches, config, grad_tol)
-        grad = _grad(theta, sigma2, s, data, batches)
-        gvec = ProductTangent(grad.B, grad.zeta)
-        gnorm = float(np.sqrt(product_inner(gvec, gvec)))
+        theta, trace, reason, it = _run_descent(theta0, obj, config)
+        gnorm = obj.grad(theta).norm()
         cand = (trace[-1], ridx, theta, gnorm, reason, it, trace)
         if best is None or cand[0] < best[0] - 1e-12:
             best = cand
@@ -325,7 +336,7 @@ def fit(
     params = ModelParams(M=Bc.shape[0], r=r, B=StiefelPoint(Bc), lam=lamc, sigma2=sigma2, s=s)
     return FitResult(
         params=params,
-        converged=bool(gnorm < grad_tol or reason == "loss-tol"),
+        converged=bool(gnorm < obj.grad_tol or reason == "loss-tol"),
         n_iter=it,
         grad_norm=gnorm,
         loss=float(loss),

@@ -9,7 +9,7 @@ order or worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -229,6 +229,12 @@ def build_truth(config: ExperimentConfig):
 
 
 def _fit_config(config: ExperimentConfig) -> optimizer.FitConfig:
+    known = {f.name for f in fields(optimizer.FitConfig)}
+    unknown = sorted(set(config.fit) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) in 'fit': {', '.join(unknown)}; expected some of {sorted(known)}"
+        )
     return optimizer.FitConfig(**{"restarts": 1, **config.fit})
 
 

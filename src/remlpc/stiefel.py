@@ -121,7 +121,13 @@ def skew_exp(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if np.abs(S + S.T).max() > 1e-12:
         raise ValueError("input is not skew-symmetric")
-    E = scipy.linalg.expm(S)
+    # exp(S) = I + V diag(e^{-iw} - 1) V^H from the Hermitian eigensystem of
+    # iS: orthogonal to rounding at any norm of S (a Pade approximant drifts
+    # at norms near 1e4), and with e^{-iw} - 1 from expm1 the step E - I
+    # keeps its relative accuracy as S goes to 0, so short trial steps of
+    # a line search still resolve the loss change
+    w, V = np.linalg.eigh(1j * S)
+    E = np.eye(S.shape[0]) + ((V * np.expm1(-1j * w)) @ V.conj().T).real
     # orthogonality of the exact result gives a cheap accuracy check
     drift = np.linalg.norm(E.T @ E - np.eye(S.shape[0]))
     if drift > 1e-10:

@@ -6,6 +6,7 @@ constraint while probing the closed forms.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_product_point, random_tangent, spiked_sample_cov
 from remlpc import calculus
@@ -15,10 +16,10 @@ from remlpc.model import (
     Dataset,
     ModelParams,
     curve_batches,
-    functional_loss,
     marginal_cov,
     matrix_loss,
 )
+from remlpc.optimizer import objective
 from remlpc.stiefel import (
     ProductPoint,
     ProductTangent,
@@ -51,7 +52,7 @@ def b_direction(U):
     return ProductTangent(U, np.zeros(U.base.B.shape[1]))
 
 
-def make_functional(M, r, n, seed, sigma2=0.4, s=1.1):
+def make_functional(M, r, n, seed, sigma2=0.4, s=1.1, m_bounds=(3, 7)):
     basis = make_basis(M)
     rng = np.random.default_rng(seed)
     theta = random_product_point(M, r, seed)
@@ -59,7 +60,7 @@ def make_functional(M, r, n, seed, sigma2=0.4, s=1.1):
                          sigma2=sigma2, s=s)
     curves = []
     for _ in range(n):
-        m = int(rng.integers(3, 8))
+        m = int(rng.integers(m_bounds[0], m_bounds[1] + 1))
         t = rng.uniform(0.0, 1.0, m)
         Phi = eval_basis(basis, t).T
         y = np.linalg.cholesky(marginal_cov(params, Phi)) @ rng.standard_normal(m)
@@ -104,54 +105,58 @@ def test_normalized_gradient_matches_fd():
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
 
-def test_scaled_gradient_matches_fd():
-    h = 1e-5
-    sigma2, s = 0.7, 2.3
-    for k in range(5):
-        M, r = 6, 2
-        theta = random_product_point(M, r, 500 + k)
-        S = spiked_sample_cov(M, r, 150, 600 + k, sigma2=sigma2, s=s)
-        g = ProductTangent(
-            calculus.grad_B_scaled(theta, S, sigma2, s),
-            calculus.grad_zeta_scaled(theta, S, sigma2, s),
-        )
-        rng = np.random.default_rng(700 + k)
-        d = ProductTangent(random_tangent(theta.point, 800 + k), rng.standard_normal(r))
-        want = geodesic_fd(lambda th: matrix_loss_at(th, S, sigma2, s), theta, d, h)
-        assert abs(product_inner(g, d) - want) < 1e-6 * max(1.0, abs(want))
+# random problem sizes and scales for the gradient differential tests
+SIZES = dict(
+    M=st.integers(4, 8),
+    r=st.integers(1, 3),
+    sigma2=st.floats(0.2, 3.0),
+    s=st.floats(0.3, 3.0),
+    seed=st.integers(0, 2**16),
+)
 
 
-def test_functional_gradient_matches_fd():
-    h = 1e-5
-    sigma2, s = 0.4, 1.1
-    basis, data, batches = make_functional(6, 2, 30, seed=4, sigma2=sigma2, s=s)
-    theta = random_product_point(6, 2, 17)
-    g = calculus.grad_functional_raw(theta.point, np.exp(theta.zeta), sigma2, s, batches)
-    rng = np.random.default_rng(18)
-    d = ProductTangent(random_tangent(theta.point, 19), rng.standard_normal(2))
-
-    def loss(th):
-        return functional_loss(th.point.B, np.exp(th.zeta), sigma2, s, batches)
-
-    want = geodesic_fd(loss, theta, d, h)
-    got = product_inner(ProductTangent(g.B, g.zeta), d)
+def objective_fd_check(obj, theta, seed, h=1e-5):
+    """The objective's gradient against central differences of its loss
+    along a random geodesic through theta."""
+    rng = np.random.default_rng(seed)
+    r = theta.zeta.size
+    d = ProductTangent(random_tangent(theta.point, seed + 1), rng.standard_normal(r))
+    want = geodesic_fd(obj.loss, theta, d, h)
+    got = product_inner(obj.grad(theta).tangent(), d)
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
 
 
-def test_product_grad_dispatch_consistency():
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(**SIZES)
+def test_scaled_gradient_matches_fd(M, r, sigma2, s, seed):
+    S = spiked_sample_cov(M, r, 150, seed, sigma2=sigma2, s=s)
+    theta = random_product_point(M, r, seed + 1)
+    objective_fd_check(objective(Dataset.matrix(S, 150), None, sigma2, s), theta, seed + 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m_lo=st.integers(1, 4), m_span=st.integers(0, 6), **SIZES)
+def test_functional_gradient_matches_fd(M, r, m_lo, m_span, sigma2, s, seed):
+    basis, data, _ = make_functional(M, r, 20, seed, sigma2=sigma2, s=s,
+                                     m_bounds=(m_lo, m_lo + m_span))
+    theta = random_product_point(M, r, seed + 1)
+    objective_fd_check(objective(data, basis, sigma2, s), theta, seed + 2)
+
+
+def test_objective_grads_call_the_kernels():
     sigma2, s = 0.4, 1.1
     basis, data, batches = make_functional(5, 2, 12, seed=21, sigma2=sigma2, s=s)
     theta = random_product_point(5, 2, 22)
-    params = ModelParams(M=5, r=2, B=theta.point, lam=np.exp(theta.zeta), sigma2=sigma2, s=s)
-    g1 = calculus.product_grad(params, data, basis=basis)
-    g2 = calculus.product_grad(params, data, basis=basis, batches=batches)
-    assert np.array_equal(g1.B.full(), g2.B.full())
-    assert np.array_equal(g1.zeta, g2.zeta)
+    g = objective(data, basis, sigma2, s).grad(theta)
+    want = calculus.grad_functional_raw(theta.point, theta.lam, sigma2, s, batches)
+    assert np.array_equal(g.B.full(), want.B.full())
+    assert np.array_equal(g.zeta, want.zeta)
     S = spiked_sample_cov(5, 2, 90, 23, sigma2=sigma2, s=s)
-    pm = ModelParams(M=5, r=2, B=theta.point, lam=np.exp(theta.zeta), sigma2=sigma2, s=s)
-    gm = calculus.product_grad(pm, Dataset.matrix(S, 90))
+    gm = objective(Dataset.matrix(S, 90), None, sigma2, s).grad(theta)
     direct = calculus.grad_B_scaled(theta, S, sigma2, s)
     assert np.max(np.abs(gm.B.full() - direct.full())) < 1e-14
+    gv = ProductTangent(gm.B, gm.zeta)
+    assert gm.norm() == np.sqrt(product_inner(gv, gv))
 
 
 # ------------------------------------------------------ hessian FD checks

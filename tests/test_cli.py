@@ -118,6 +118,22 @@ def test_malformed_rows_exit_65_with_row_number(tmp_path, capsys):
     assert "expected header" in capsys.readouterr().err
 
 
+def test_nonfinite_rows_exit_65_with_row_number(tmp_path, capsys):
+    for k, row in enumerate(["a,0.5,nan", "a,0.5,inf", "a,nan,1.0"]):
+        p = tmp_path / f"c{k}.csv"
+        p.write_text(f"curve_id,t,y\na,0.2,1.0\n{row}\n")
+        assert cli.main(["fit", "--data", str(p), "--M", "4", "--r", "1",
+                         "--sigma2", "0.25"]) == 65
+        assert "row 3: non-finite" in capsys.readouterr().err
+
+    cov = tmp_path / "cov.csv"
+    cov.write_text("2,0,0\n0,2,0\n0,nan,2\n")
+    (tmp_path / "cov.json").write_text('{"n": 10}\n')
+    for verb in (["pca"], ["fit", "--regime", "matrix"]):
+        assert cli.main([*verb, "--data", str(cov), "--r", "1", "--sigma2", "1"]) == 65
+        assert "row 3: non-finite" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_2_but_writes(tmp_path, curves_file, capsys):
     path, _ = curves_file
     out = tmp_path / "fit.json"
@@ -190,6 +206,16 @@ def test_rates_verb_thread_invariance(tmp_path, capsys):
                      "--out", str(out4)]) == 0
     assert out1.read_bytes() == out4.read_bytes()
     capsys.readouterr()
+
+
+def test_unknown_fit_key_exits_65(tmp_path, capsys):
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({
+        "regime": "matrix", "n_grid": [64, 128], "replicates": 1, "r": 2,
+        "truth": {"M": 8, "eigenvalues": [3.0, 1.0]}, "fit": {"armijo_cc": 0.2},
+    }))
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 65
+    assert "armijo_cc" in capsys.readouterr().err
 
 
 def test_kl_scan_verb_and_alpha_guard(tmp_path, cov_file, capsys):

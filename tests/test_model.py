@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_orthonormal, spiked_sample_cov
+from conftest import random_orthonormal, random_product_point, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
 from remlpc.model import (
     CurveData,
@@ -20,11 +21,11 @@ from remlpc.model import (
     kl_divergence,
     marginal_cov,
     matrix_loss,
-    neg_loglik,
     optimal_parameter,
 )
+from remlpc.optimizer import FunctionalObjective, MatrixObjective, objective
 from remlpc.sim import make_true_kernel
-from remlpc.stiefel import StiefelPoint
+from remlpc.stiefel import ProductPoint, StiefelPoint
 
 
 def toy_params(M=6, r=2, seed=0, sigma2=0.5, s=1.3):
@@ -103,6 +104,11 @@ def test_matrix_dataset_validation():
         Dataset.matrix(bad, 5)
     with pytest.raises(ValueError):
         Dataset.matrix(S, 0)
+    for bad_value in (np.nan, np.inf):
+        nonfinite = S.copy()
+        nonfinite[1, 1] = bad_value
+        with pytest.raises(ValueError, match="finite"):
+            Dataset.matrix(nonfinite, 5)
 
 
 def test_functional_dataset_validation():
@@ -115,6 +121,9 @@ def test_functional_dataset_validation():
         CurveData(times=np.array([0.1]), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         CurveData(times=np.array([1.2]), values=np.array([0.0]))
+    for t, y in (([np.nan, 0.5], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            CurveData(times=np.array(t), values=np.array(y))
 
 
 def test_curve_batches_group_and_restore_order():
@@ -147,44 +156,72 @@ def test_marginal_cov_formula():
     assert np.max(np.abs(marginal_cov(params, Phi) - want)) < 1e-14
 
 
-def test_functional_loss_matches_dense_marginals():
-    basis = make_basis(7)
-    params = toy_params(M=7, seed=5)
-    data = toy_curves(25, basis, params, seed=6)
-    batches = curve_batches(data, basis)
-    terms = functional_terms(params.B.B, params.lam, params.sigma2, params.s, batches)
+# random problem sizes and scales for the differential tests below
+SIZES = dict(
+    M=st.integers(4, 8),
+    r=st.integers(1, 3),
+    sigma2=st.floats(0.05, 4.0),
+    s=st.floats(0.2, 5.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+def params_at(theta, sigma2, s):
+    M, r = theta.point.shape
+    return ModelParams(M=M, r=r, B=theta.point, lam=theta.lam, sigma2=sigma2, s=s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(m_lo=st.integers(1, 4), m_span=st.integers(0, 6), **SIZES)
+def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, seed):
+    # data from one random model, the loss evaluated at another
+    basis = make_basis(M)
+    truth = params_at(random_product_point(M, r, seed), sigma2, s)
+    data = toy_curves(12, basis, truth, seed=seed, m_lo=m_lo, m_hi=m_lo + m_span)
+    theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
+    params = params_at(theta, sigma2, s)
+    obj = objective(data, basis, sigma2, s)
+    terms = functional_terms(theta.point.B, theta.lam, sigma2, s, obj.batches)
     dense = []
     for c in data.curves:
-        Phi = eval_basis(basis, c.times).T
-        cov = marginal_cov(params, Phi)
+        cov = marginal_cov(params, eval_basis(basis, c.times).T)
         sign, logdet = np.linalg.slogdet(cov)
         dense.append(0.5 * (c.values @ np.linalg.solve(cov, c.values) + logdet))
-    assert np.max(np.abs(terms - np.array(dense))) < 1e-10
-    assert abs(functional_loss(params.B.B, params.lam, params.sigma2, params.s, batches) - np.mean(dense)) < 1e-10
+    dense = np.array(dense)
+    assert np.all(np.abs(terms - dense) <= 1e-10 * np.maximum(1.0, np.abs(dense)))
+    want = np.mean(dense)
+    assert abs(obj.loss(theta) - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_matrix_loss_matches_dense_formula():
-    params = toy_params(M=6, seed=7)
-    S = spiked_sample_cov(6, 2, 300, seed=8)
-    gamma = params.s * params.B.B @ np.diag(params.lam) @ params.B.B.T + params.sigma2 * np.eye(6)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(**SIZES)
+def test_matrix_loss_matches_dense_formula(M, r, sigma2, s, seed):
+    S = spiked_sample_cov(M, r, 300, seed=seed, sigma2=sigma2, s=s)
+    theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
+    B, lam = theta.point.B, theta.lam
+    gamma = s * (B * lam) @ B.T + sigma2 * np.eye(M)
     sign, logdet = np.linalg.slogdet(gamma)
     want = np.trace(np.linalg.solve(gamma, S)) + logdet
-    got = matrix_loss(params.B.B, params.lam, params.sigma2, params.s, S)
-    assert abs(got - want) < 1e-12
+    got = objective(Dataset.matrix(S, 300), None, sigma2, s).loss(theta)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_neg_loglik_dispatches_by_regime():
+def test_objective_factory_dispatches_by_regime():
     params = toy_params(M=5, seed=9)
+    theta = ProductPoint(params.B, np.log(params.lam))
+    B, lam = theta.point.B, theta.lam
     S = spiked_sample_cov(5, 2, 100, seed=10)
-    got = neg_loglik(params, Dataset.matrix(S, 100))
-    assert abs(got - matrix_loss(params.B.B, params.lam, params.sigma2, params.s, S)) < 1e-14
+    obj = objective(Dataset.matrix(S, 100), None, params.sigma2, params.s)
+    assert isinstance(obj, MatrixObjective) and obj.dim == 5
+    assert obj.loss(theta) == matrix_loss(B, lam, params.sigma2, params.s, obj.S)
     basis = make_basis(5)
     data = toy_curves(10, basis, params, seed=11)
-    batches = curve_batches(data, basis)
-    want = functional_loss(params.B.B, params.lam, params.sigma2, params.s, batches)
-    assert abs(neg_loglik(params, data, basis) - want) < 1e-12
+    obj = objective(data, basis, params.sigma2, params.s)
+    assert isinstance(obj, FunctionalObjective) and obj.dim == 5
+    want = functional_loss(B, lam, params.sigma2, params.s, curve_batches(data, basis))
+    assert obj.loss(theta) == want
     with pytest.raises(ValueError):
-        neg_loglik(params, data)  # functional data needs a basis
+        objective(data, None, params.sigma2)  # functional data needs a basis
 
 
 # ------------------------------------------------------------- divergence

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import random_orthonormal, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
-from remlpc.model import CurveData, Dataset, ModelParams, marginal_cov, neg_loglik
-from remlpc.optimizer import FitConfig, fit, init_params, resolve_grad_tol
+from remlpc.model import CurveData, Dataset, ModelParams, marginal_cov
+from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
+from remlpc.stiefel import ProductPoint
 
 
 def small_functional(n=60, M=5, r=2, seed=0, sigma2=0.3):
@@ -24,10 +25,14 @@ def small_functional(n=60, M=5, r=2, seed=0, sigma2=0.3):
 
 
 def test_grad_tol_defaults_by_regime():
-    c = FitConfig()
-    assert resolve_grad_tol(c, "matrix") == 1e-8
-    assert resolve_grad_tol(c, "sparse") == 1e-6
-    assert resolve_grad_tol(FitConfig(grad_tol=1e-3), "matrix") == 1e-3
+    S = spiked_sample_cov(6, 2, 100, seed=12)
+    data = Dataset.matrix(S, 100)
+    assert objective(data, None, 1.0).grad_tol == 1e-8
+    basis, curves, _ = small_functional(n=10, seed=12)
+    assert objective(curves, basis, 0.3).grad_tol == 1e-6
+    # a configured grad_tol overrides the objective's default
+    res = fit(data, None, 2, 1.0, 1.0, FitConfig(grad_tol=1e3, init="random", restarts=1))
+    assert res.converged and res.n_iter == 0 and res.stop_reason == "grad-tol"
 
 
 def test_matrix_fit_reaches_closed_form():
@@ -60,7 +65,8 @@ def test_functional_fit_improves_on_truth_loss():
     basis, data, truth = small_functional(n=120, seed=4)
     res = fit(data, basis, 2, truth.sigma2, 1.0, FitConfig(restarts=2, seed=2))
     assert res.converged
-    assert res.loss <= neg_loglik(truth, data, basis) + 1e-9
+    at_truth = ProductPoint(truth.B, np.log(truth.lam))
+    assert res.loss <= objective(data, basis, truth.sigma2).loss(at_truth) + 1e-9
 
 
 def test_stop_reason_vocabulary_and_max_iter():
@@ -99,13 +105,18 @@ def test_plain_gradient_descent_still_works():
 
 
 def test_init_params_shapes_and_floor():
+    rng = np.random.default_rng(9)
     S = spiked_sample_cov(9, 2, 250, seed=9)
-    p = init_params(Dataset.matrix(S, 250), None, 2, 1.0)
-    assert p.M == 9 and p.r == 2
-    assert p.lam[0] > p.lam[1] > 0.0
+    matrix_obj = objective(Dataset.matrix(S, 250), None, 1.0)
+    for init in ("pooled-pca", "random"):
+        p = init_params(matrix_obj, 2, init, rng)
+        assert p.M == 9 and p.r == 2
+        assert p.lam[0] > p.lam[1] > 0.0
     basis, data, _ = small_functional(seed=10)
-    q = init_params(data, basis, 2, 0.3)
-    assert q.M == 5 and q.lam[0] > q.lam[1] > 0.0
+    q = init_params(objective(data, basis, 0.3), 2, "pooled-pca", rng)
+    assert q.M == 5 and q.lam[0] > q.lam[1] > 0.0 and q.sigma2 == 0.3
+    with pytest.raises(ValueError):
+        init_params(matrix_obj, 2, "given", rng)
 
 
 def test_requested_rank_validated():

@@ -152,6 +152,22 @@ def test_skew_exp_orthogonal():
     assert np.max(np.abs(Q - expm(A))) < 1e-12
 
 
+def test_skew_exp_accurate_at_extreme_norms():
+    for seed in range(10):
+        A = np.random.default_rng(seed).standard_normal((6, 6))
+        A = A - A.T
+        # a backtracking line search can try steps this long; a Pade-based
+        # exponential drifts past the orthogonality check at this norm
+        big = A * (1.2e4 / np.linalg.norm(A))
+        Q = skew_exp(big)
+        assert np.linalg.norm(Q.T @ Q - np.eye(6)) < 1e-13
+        assert np.max(np.abs(Q - expm(big))) < 1e-9
+        # and this short: Q - I must keep its relative accuracy
+        tiny = A * (1e-9 / np.linalg.norm(A))
+        step = skew_exp(tiny) - np.eye(6)
+        assert np.max(np.abs(step - (expm(tiny) - np.eye(6)))) < 1e-14 * 1e-9
+
+
 def test_product_exp_moves_both_blocks():
     theta = random_product_point(6, 2, 18)
     U = random_tangent(theta.point, 19)
