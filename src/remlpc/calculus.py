@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CurveBatches
+from .model import CurveBatches, curve_factors, lower_solve
 from .stiefel import (
     ProductPoint,
     ProductTangent,
@@ -223,20 +223,19 @@ def grad_functional_raw(
     lam_eff = s * lam
     M, r = B.shape
     n = batches.n
+    Xs, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
+    Linv = lower_solve(L, np.broadcast_to(np.eye(r), L.shape))
+    Ginv = np.einsum("nki,nkj->nij", Linv, Linv)
+    u = (Ginv @ Xty[:, :, None])[:, :, 0]
     F_acc = np.zeros((M, r))
     z_acc = np.zeros(r)
-    for idx, Phi, y in batches.groups:
-        X = Phi @ B
-        XtX = np.einsum("gmi,gmj->gij", X, X)
-        G = XtX.copy()
-        G[:, np.arange(r), np.arange(r)] += sigma2 / lam_eff
-        Xty = np.einsum("gmi,gm->gi", X, y)
-        u = np.linalg.solve(G, Xty[:, :, None])[:, :, 0]
-        # Sigma^{-1} X and Sigma^{-1} y through the rank-r downdate
-        SiX = (X - np.einsum("gmi,gij->gmj", X, np.linalg.solve(G, XtX))) / sigma2
-        Siy = (y - np.einsum("gmi,gi->gm", X, u)) / sigma2
-        WX = SiX - Siy[:, :, None] * np.einsum("gm,gmi->gi", Siy, X)[:, None, :]
-        F_acc += np.einsum("gmM,gmr->Mr", Phi, WX)
+    for (_, Phi, y), X, sl in zip(batches.groups, Xs, batches.slices()):
+        # Sigma^{-1} X = X G^{-1} diag(1 / lam_eff), because
+        # X^T X = G - sigma2 diag(1 / lam_eff) turns the Woodbury downdate into it
+        SiX = (X @ Ginv[sl]) / lam_eff
+        Siy = (y - (X @ u[sl, :, None])[:, :, 0]) / sigma2
+        WX = SiX - Siy[:, :, None] * (Siy[:, None, :] @ X)
+        F_acc += Phi.reshape(-1, M).T @ WX.reshape(-1, r)
         z_acc += np.einsum("gmk,gmk->k", X, WX)
     F = F_acc * lam_eff / n
     gz = z_acc * lam_eff / (2.0 * n)

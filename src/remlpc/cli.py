@@ -363,7 +363,13 @@ def _cmd_pca(args) -> int:
 
 
 def _experiment_config(args) -> sim.ExperimentConfig:
-    cfg = sim.ExperimentConfig.from_dict(_read_json(args.config))
+    raw = _read_json(args.config)
+    try:
+        cfg = sim.ExperimentConfig.from_dict(raw)
+    except KeyError as e:
+        raise DataFormatError(f"{args.config}: missing key {e}") from None
+    except (ValueError, TypeError) as e:
+        raise DataFormatError(f"{args.config}: {e}") from None
     if args.seed is not None:
         cfg = sim.ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": args.seed})
     return cfg

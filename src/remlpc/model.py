@@ -180,6 +180,14 @@ class CurveBatches:
     n: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
+    def slices(self) -> list[slice]:
+        """Each group's rows in an array stacked over all curves in group order."""
+        out, start = [], 0
+        for idx, _, _ in self.groups:
+            out.append(slice(start, start + idx.size))
+            start += idx.size
+        return out
+
 
 def curve_batches(data: Dataset, basis: OrthoBasis) -> CurveBatches:
     if data.regime == "matrix":
@@ -205,6 +213,65 @@ def marginal_cov(params: ModelParams, Phi: np.ndarray) -> np.ndarray:
     return S
 
 
+def batched_cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack (n, r, r) of symmetric positive
+    definite matrices.
+
+    Loops over the r(r+1)/2 entries and is vectorized over the stack, which
+    beats LAPACK's per-matrix dispatch on the tiny r x r systems of the
+    curve likelihood.  Raises LinAlgError if any pivot is not positive
+    (NaN included), so it never returns NaN.
+    """
+    r = G.shape[-1]
+    Gt = G.transpose(1, 2, 0)
+    Lt = np.zeros((r, r, G.shape[0]))
+    for j in range(r):
+        d = Gt[j, j] - np.sum(Lt[j, :j] ** 2, axis=0)
+        if not (d > 0.0).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        Lt[j, j] = np.sqrt(d)
+        for i in range(j + 1, r):
+            Lt[i, j] = (Gt[i, j] - np.sum(Lt[i, :j] * Lt[j, :j], axis=0)) / Lt[j, j]
+    return Lt.transpose(2, 0, 1)
+
+
+def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forward substitution L z = b for stacks L (n, r, r) and b (n, r, k)."""
+    Lt = L.transpose(1, 2, 0)
+    bt = b.transpose(1, 2, 0)
+    zt = np.empty(bt.shape)
+    for j in range(Lt.shape[0]):
+        zt[j] = (bt[j] - np.sum(Lt[j, :j, None] * zt[:j], axis=0)) / Lt[j, j]
+    return zt.transpose(2, 0, 1)
+
+
+def curve_factors(
+    B: np.ndarray, lam_eff: np.ndarray, sigma2: float, batches: CurveBatches
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The rank-r Woodbury systems of every curve, factored in one pass.
+
+    Curve i's marginal covariance is sigma2 I + X_i diag(lam_eff) X_i^T
+    with X_i = Phi_i B; its inverse and determinant reduce to the r x r
+    matrix G_i = X_i^T X_i + sigma2 diag(1 / lam_eff).  Returns the
+    per-group X (aligned with batches.groups), and X_i^T y_i and the
+    Cholesky factor of G_i stacked over all curves in group order.
+    """
+    M, r = B.shape
+    Xs = []
+    G = np.empty((batches.n, r, r))
+    Xty = np.empty((batches.n, r))
+    for (_, Phi, y), sl in zip(batches.groups, batches.slices()):
+        g, m, _ = Phi.shape
+        X = (Phi.reshape(-1, M) @ B).reshape(g, m, r)
+        # a contiguous X^T lets matmul use BLAS instead of its strided loop
+        Xt = np.ascontiguousarray(X.transpose(0, 2, 1))
+        np.matmul(Xt, X, out=G[sl])
+        np.matmul(Xt, y[:, :, None], out=Xty[sl, :, None])
+        Xs.append(X)
+    G.reshape(-1, r * r)[:, :: r + 1] += sigma2 / lam_eff
+    return Xs, Xty, batched_cholesky(G)
+
+
 def functional_terms(
     B: np.ndarray, lam: np.ndarray, sigma2: float, s: float, batches: CurveBatches
 ) -> np.ndarray:
@@ -216,18 +283,15 @@ def functional_terms(
     """
     r = B.shape[1]
     lam_eff = s * lam
+    _, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
+    logdetG = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    z = lower_solve(L, Xty[:, :, None])[:, :, 0]
+    fit_sq = np.einsum("gi,gi->g", z, z)
     terms = np.zeros(batches.n)
-    for idx, Phi, y in batches.groups:
-        m = Phi.shape[1]
-        X = Phi @ B
-        G = np.einsum("gmi,gmj->gij", X, X)
-        G[:, np.arange(r), np.arange(r)] += sigma2 / lam_eff
-        L = np.linalg.cholesky(G)
-        logdetG = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-        Xty = np.einsum("gmi,gm->gi", X, y)
-        w = np.linalg.solve(G, Xty[:, :, None])[:, :, 0]
-        quad = (np.einsum("gm,gm->g", y, y) - np.einsum("gi,gi->g", Xty, w)) / sigma2
-        logdet = (m - r) * np.log(sigma2) + logdetG + np.sum(np.log(lam_eff))
+    for (idx, _, y), sl in zip(batches.groups, batches.slices()):
+        m = y.shape[1]
+        quad = (np.einsum("gm,gm->g", y, y) - fit_sq[sl]) / sigma2
+        logdet = (m - r) * np.log(sigma2) + logdetG[sl] + np.sum(np.log(lam_eff))
         terms[idx] = 0.5 * (quad + logdet)
     return terms
 

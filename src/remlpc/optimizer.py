@@ -40,6 +40,9 @@ LOSS_TOL = 1e-13
 LOSS_PATIENCE = 3
 # ridge of the pooled initializer's normal equations, relative to their scale
 INIT_RIDGE = 1e-8
+# the initializer accumulates its normal equations over chunks of at most
+# this many observations, which bounds its working memory whatever n is
+INIT_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -101,19 +104,30 @@ def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, ridge: float):
     normal equations over the M x M coefficient matrix use the pair-sum
     factorization; a small ridge keeps them solvable for tiny samples.
     """
-    AtA = np.zeros((M * M, M * M))
-    Atb = np.zeros(M * M)
+    if all(Phi.shape[1] < 2 for _, Phi, _ in batches.groups):
+        raise ValueError(
+            "no curve has two or more observations; the pooled initializer needs off-diagonal pairs"
+        )
+    MM = M * M
+    AtA = np.zeros((MM, MM))
+    Atb = np.zeros(MM)
     for _, Phi, y in batches.groups:
-        for g in range(Phi.shape[0]):
-            P = Phi[g].T @ Phi[g]
-            v = Phi[g].T @ y[g]
-            AtA += np.kron(P, P)
-            Atb += np.kron(v, v)
-            for j in range(Phi.shape[1]):
-                pj = Phi[g, j]
-                outer = np.kron(pj, pj)
-                AtA -= np.outer(outer, outer)
-                Atb -= y[g, j] ** 2 * outer
+        m = Phi.shape[1]
+        if m < 2:  # a single point has no pairs; its terms cancel exactly
+            continue
+        step = max(1, INIT_CHUNK_ROWS // m)
+        for lo in range(0, Phi.shape[0], step):
+            Pc, yc = Phi[lo : lo + step], y[lo : lo + step]
+            # sum_g kron(P_g, P_g) with P_g = Phi_g^T Phi_g, as one GEMM
+            Pflat = np.einsum("gja,gjb->gab", Pc, Pc).reshape(-1, MM)
+            AtA += (Pflat.T @ Pflat).reshape(M, M, M, M).transpose(0, 2, 1, 3).reshape(MM, MM)
+            v = np.einsum("gja,gj->ga", Pc, yc)
+            Atb += (v.T @ v).reshape(MM)
+            # minus the diagonal pairs j = j': rows kron(phi_j, phi_j)
+            rows = Pc.reshape(-1, M)
+            K = np.einsum("pa,pb->pab", rows, rows).reshape(-1, MM)
+            AtA -= K.T @ K
+            Atb -= K.T @ (yc.reshape(-1) ** 2)
     scale = max(np.trace(AtA) / (M * M), 1.0)
     AtA[np.diag_indices_from(AtA)] += ridge * scale
     C = np.linalg.solve(AtA, Atb).reshape(M, M)

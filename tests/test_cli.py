@@ -218,6 +218,27 @@ def test_unknown_fit_key_exits_65(tmp_path, capsys):
     assert "armijo_cc" in capsys.readouterr().err
 
 
+def test_experiment_config_missing_key_exits_65(tmp_path, capsys):
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({"n_grid": [64], "replicates": 1, "r": 2}))
+    for verb in ("rates", "score-check"):
+        assert cli.main([verb, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 65
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "missing key 'regime'" in err
+
+
+def test_fit_without_pairs_exits_65(tmp_path, capsys):
+    # every curve has a single observation, so no off-diagonal product exists
+    rng = np.random.default_rng(3)
+    p = tmp_path / "single.csv"
+    rows = [f"c{i},{t:.6f},{v:.6f}" for i, (t, v) in
+            enumerate(zip(rng.uniform(0, 1, 200), rng.standard_normal(200)))]
+    p.write_text("curve_id,t,y\n" + "\n".join(rows) + "\n")
+    assert cli.main(["fit", "--data", str(p), "--M", "4", "--r", "3",
+                     "--sigma2", "0.25"]) == 65
+    assert "no curve has two or more observations" in capsys.readouterr().err
+
+
 def test_kl_scan_verb_and_alpha_guard(tmp_path, cov_file, capsys):
     from remlpc.matrixcase import pca_fit
 

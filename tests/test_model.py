@@ -12,6 +12,7 @@ from remlpc.model import (
     DegenerateSpectrumError,
     ModelParams,
     TrueKernel,
+    batched_cholesky,
     canonicalize,
     curve_batches,
     functional_loss,
@@ -19,6 +20,7 @@ from remlpc.model import (
     kernel_from_params,
     kernel_l2_distance,
     kl_divergence,
+    lower_solve,
     marginal_cov,
     matrix_loss,
     optimal_parameter,
@@ -204,6 +206,38 @@ def test_matrix_loss_matches_dense_formula(M, r, sigma2, s, seed):
     want = np.trace(np.linalg.solve(gamma, S)) + logdet
     got = objective(Dataset.matrix(S, 300), None, sigma2, s).loss(theta)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def spd_batch(n, r, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, r + 2, r)) * rng.uniform(0.1, 10.0, (n, 1, 1))
+    return A.transpose(0, 2, 1) @ A + 1e-3 * np.eye(r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(1, 40), r=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_batched_cholesky_matches_lapack(n, r, seed):
+    G = spd_batch(n, r, seed)
+    L = batched_cholesky(G)
+    want = np.linalg.cholesky(G)
+    scale = np.sqrt(np.abs(G).max(axis=(1, 2)))[:, None, None]
+    assert np.all(np.abs(L - want) <= 1e-12 * scale)
+    b = np.random.default_rng(seed + 1).standard_normal((n, r, 2))
+    z = lower_solve(L, b)
+    assert np.all(np.abs(L @ z - b) <= 1e-10 * (1.0 + np.abs(b)))
+
+
+def test_batched_cholesky_rejects_indefinite_and_nan():
+    G = spd_batch(8, 3, 0)
+    bad = G.copy()
+    # positive diagonal, so only elimination reveals the negative pivot
+    bad[5] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        batched_cholesky(bad)
+    bad = G.copy()
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        batched_cholesky(bad)
 
 
 def test_objective_factory_dispatches_by_regime():

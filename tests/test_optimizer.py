@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_orthonormal, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
-from remlpc.model import CurveData, Dataset, ModelParams, marginal_cov
+from remlpc import optimizer
+from remlpc.model import CurveData, Dataset, ModelParams, canonicalize, marginal_cov
 from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
 from remlpc.stiefel import ProductPoint
@@ -125,3 +127,63 @@ def test_requested_rank_validated():
         fit(Dataset.matrix(S, 100), None, 0, 1.0)
     with pytest.raises(ValueError):
         fit(Dataset.matrix(S, 100), None, 7, 1.0)
+
+
+def pooled_fit_reference(batches, M, r, ridge):
+    """The pooled initializer as one kron per curve and one per point."""
+    AtA = np.zeros((M * M, M * M))
+    Atb = np.zeros(M * M)
+    for _, Phi, y in batches.groups:
+        for g in range(Phi.shape[0]):
+            P = Phi[g].T @ Phi[g]
+            v = Phi[g].T @ y[g]
+            AtA += np.kron(P, P)
+            Atb += np.kron(v, v)
+            for j in range(Phi.shape[1]):
+                pj = Phi[g, j]
+                outer = np.kron(pj, pj)
+                AtA -= np.outer(outer, outer)
+                Atb -= y[g, j] ** 2 * outer
+    scale = max(np.trace(AtA) / (M * M), 1.0)
+    AtA[np.diag_indices_from(AtA)] += ridge * scale
+    C = np.linalg.solve(AtA, Atb).reshape(M, M)
+    evals, evecs = np.linalg.eigh(0.5 * (C + C.T))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    B0, lam0 = canonicalize(evecs[:, :r], np.maximum(evals[:r], 1e-6))
+    return B0, optimizer._strictly_decreasing(lam0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(M=st.integers(4, 10), r=st.integers(1, 3), m_lo=st.integers(1, 5),
+       m_span=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed):
+    basis = make_basis(M)
+    rng = np.random.default_rng(seed)
+    m_hi = m_lo + m_span
+    # the m_hi group alone is longer than one chunk of the accumulation
+    per_m = optimizer.INIT_CHUNK_ROWS // m_hi + 7
+    ms = np.repeat(np.arange(m_lo, m_hi + 1), per_m)
+    # curves y = Phi^T B xi + noise with score variances 3, 1.5, 0.6
+    curve = np.repeat(np.arange(ms.size), ms)
+    t = rng.uniform(0.0, 1.0, curve.size)
+    scores = rng.standard_normal((ms.size, 3)) * np.sqrt([3.0, 1.5, 0.6])
+    frame = random_orthonormal(M, 3, seed + 1).B
+    mean = np.sum((eval_basis(basis, t) @ frame) * scores[curve], 1)
+    y = mean + np.sqrt(0.2) * rng.standard_normal(curve.size)
+    ends = np.cumsum(ms)[:-1]
+    curves = [CurveData(times=tc, values=yc) for tc, yc in zip(np.split(t, ends), np.split(y, ends))]
+    batches = objective(Dataset.functional("sparse", curves), basis, 0.2).batches
+    point, lam = optimizer._pooled_fit_functional(batches, M, r, optimizer.INIT_RIDGE)
+    B_ref, lam_ref = pooled_fit_reference(batches, M, r, optimizer.INIT_RIDGE)
+    assert np.all(np.abs(lam - lam_ref) <= 1e-10 * lam_ref)
+    assert np.max(np.abs(point.B - B_ref)) <= 1e-10
+
+
+def test_pooled_initializer_needs_pairs():
+    basis = make_basis(4)
+    rng = np.random.default_rng(0)
+    curves = [CurveData(times=rng.uniform(0.0, 1.0, 1), values=rng.standard_normal(1))
+              for _ in range(200)]
+    obj = objective(Dataset.functional("sparse", curves), basis, 0.25)
+    with pytest.raises(ValueError, match="no curve has two or more observations"):
+        obj.pooled_start(3)
