@@ -5,13 +5,14 @@ design-check.  Exit codes: 0 success, 2 fit did not converge (results
 are still written), 64 usage error, 65 malformed or unusable data
 (messages name the offending row where applicable), 66 missing file.
 All file outputs are written atomically (temp file plus rename) and are
-byte-stable for a fixed configuration, including under --threads.
+byte-stable for a fixed configuration; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -192,7 +193,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="remlpc", description=__doc__)
-    p.add_argument("--threads", type=int, default=1, help="worker threads for experiments")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; experiments run serially")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
     p.add_argument("--seed", type=int, default=None, help="override the configured base seed")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -371,8 +373,13 @@ def _experiment_config(args) -> sim.ExperimentConfig:
     except (ValueError, TypeError) as e:
         raise DataFormatError(f"{args.config}: {e}") from None
     if args.seed is not None:
-        cfg = sim.ExperimentConfig.from_dict({**cfg.to_dict(), "base_seed": args.seed})
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
     return cfg
+
+
+def _table_text(rows: tuple[dict, ...], comments: list[str]) -> str:
+    """CSV of an experiment's rows, whose keys (in order) are the columns."""
+    return _csv_text(list(rows[0]), [list(row.values()) for row in rows], comments)
 
 
 def _cmd_rates(args) -> int:
@@ -381,19 +388,12 @@ def _cmd_rates(args) -> int:
         result = sim.rate_experiment(cfg, threads=args.threads)
     except ValueError as e:
         raise DataFormatError(f"{args.config}: {e}") from None
-    loss_keys = ["frame_error", "eigenvalue_error"] + (
-        ["kernel_l2"] if cfg.regime != "matrix" else []
-    )
-    header = ["n", "replicate", "M", "converged", "iters"] + loss_keys
-    rows = [[row[k] for k in header] for row in result.rows]
-    comments = []
-    for key in loss_keys:
-        slope, se = result.slopes[key]
-        comments.append(f"slope {key} {_fmt(slope)} se {_fmt(se)}")
-    for n in cfg.n_grid:
-        comments.append(f"beta n={n} {_fmt(result.betas[n])}")
-    _atomic_write(args.out, _csv_text(header, rows, comments))
-    _say(args, "; ".join(comments[: len(loss_keys)]))
+    comments = [
+        f"slope {key} {_fmt(slope)} se {_fmt(se)}" for key, (slope, se) in result.slopes.items()
+    ]
+    comments += [f"beta n={n} {_fmt(result.betas[n])}" for n in cfg.n_grid]
+    _atomic_write(args.out, _table_text(result.rows, comments))
+    _say(args, "; ".join(comments[: len(result.slopes)]))
     return EXIT_OK
 
 
@@ -403,23 +403,12 @@ def _cmd_score(args) -> int:
         result = sim.score_experiment(cfg, threads=args.threads)
     except ValueError as e:
         raise DataFormatError(f"{args.config}: {e}") from None
-    header = [
-        "n",
-        "replicate",
-        "gamma",
-        "frame_error",
-        "eigenvalue_error",
-        "frame_residual",
-        "eigenvalue_residual",
-        "delta_consistency",
-    ]
-    rows = [[row[k] for k in header] for row in result.rows]
     comments = [
         f"ratio_residual {_fmt(result.ratio_residual)}",
         f"ratio_error {_fmt(result.ratio_error)}",
         f"max_delta_consistency {_fmt(result.max_delta_consistency)}",
     ]
-    _atomic_write(args.out, _csv_text(header, rows, comments))
+    _atomic_write(args.out, _table_text(result.rows, comments))
     _say(args, "; ".join(comments))
     return EXIT_OK
 

@@ -72,10 +72,6 @@ class FitResult:
     stop_reason: str = ""  # grad-tol | loss-tol | line-search | max-iter
     restart_index: int = 0
 
-    @property
-    def stalled(self) -> bool:
-        return self.stop_reason == "line-search"
-
 
 def _strictly_decreasing(lam: np.ndarray) -> np.ndarray:
     out = lam.copy()
@@ -287,6 +283,9 @@ def step(
 
 
 def _run_descent(theta, obj: Objective, config: FitConfig):
+    """Descend from theta.  Returns the final point, the loss trace, the stop
+    reason, the iteration count, and the gradient norm at the final point
+    when the last step already computed it (None otherwise)."""
     trace = [obj.loss(theta)]
     t_prev = 1.0
     iters = 0
@@ -295,12 +294,9 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
     while iters < config.max_iter:
         t0 = min(max(4.0 * t_prev, 1e-2), 1.0)
         theta_new, info = step(theta, obj, config, trace[-1], t0)
-        if info.stalled:
-            reason = "line-search"
-            break
-        if info.step_size == 0.0:
-            reason = "grad-tol"
-            break
+        if info.step_size == 0.0:  # theta did not move; step took its gradient
+            reason = "line-search" if info.stalled else "grad-tol"
+            return theta, np.asarray(trace), reason, iters, info.grad_norm
         iters += 1
         decrease = trace[-1] - info.loss
         theta = theta_new
@@ -310,7 +306,7 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
         if tiny >= LOSS_PATIENCE:
             reason = "loss-tol"
             break
-    return theta, np.asarray(trace), reason, iters
+    return theta, np.asarray(trace), reason, iters, None
 
 
 def fit(
@@ -340,8 +336,9 @@ def fit(
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, ridx]))
         start = init_params(obj, r, init, rng)
         theta0 = ProductPoint(start.B, np.log(start.lam))
-        theta, trace, reason, it = _run_descent(theta0, obj, config)
-        gnorm = obj.grad(theta).norm()
+        theta, trace, reason, it, gnorm = _run_descent(theta0, obj, config)
+        if gnorm is None:
+            gnorm = obj.grad(theta).norm()
         cand = (trace[-1], ridx, theta, gnorm, reason, it, trace)
         if best is None or cand[0] < best[0] - 1e-12:
             best = cand

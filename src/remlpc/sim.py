@@ -3,17 +3,16 @@
 Everything is driven by counter-based seeding: the random stream of a
 replicate is derived from (base_seed, n, replicate index) alone, so
 results are byte-identical across reruns and independent of execution
-order or worker count.
+order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import calculus, matrixcase, optimizer
+from . import matrixcase, optimizer
 from .bspline import OrthoBasis, eval_basis, make_basis
 from .model import (
     CurveData,
@@ -26,7 +25,7 @@ from .model import (
     kl_divergence,
     optimal_parameter,
 )
-from .stiefel import ProductPoint, StiefelPoint, TangentVector, exp_map
+from .stiefel import StiefelPoint, TangentVector, exp_map
 
 
 def _rng(*counters: int) -> np.random.Generator:
@@ -161,6 +160,12 @@ class ExperimentConfig:
     truth: dict = field(default_factory=dict)
     fit: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        if not self.n_grid:
+            raise ValueError("n_grid must list at least one sample size")
+
     def to_dict(self) -> dict:
         d = {
             "regime": self.regime,
@@ -238,15 +243,13 @@ def _fit_config(config: ExperimentConfig) -> optimizer.FitConfig:
     return optimizer.FitConfig(**{"restarts": 1, **config.fit})
 
 
-def _parallel(fn, keys, threads: int):
-    if threads <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, keys))
-
-
 def loglog_slope(ns, values) -> tuple[float, float]:
     """Least-squares slope of log(values) on log(ns), with its standard error."""
+    distinct = np.unique(ns)
+    if distinct.size < 2:
+        raise ValueError(
+            f"a log-log slope needs at least two distinct n in n_grid, got {distinct.tolist()}"
+        )
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     X = np.stack([x, np.ones_like(x)], axis=1)
@@ -268,77 +271,63 @@ class RateResult:
     slopes: dict
     betas: dict
 
-    def median_curve(self, key: str) -> tuple[list[int], list[float]]:
-        ns = sorted({row["n"] for row in self.rows})
-        meds = [self.medians[(n, key)] for n in ns]
-        return ns, meds
-
 
 def rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateResult:
-    """Fit the model across a sample-size grid and summarize loss decay."""
+    """Fit the model across a sample-size grid and summarize loss decay.
+
+    The rows' keys are the columns of the rates table.  threads is
+    accepted and ignored: the replicates run serially, because a thread
+    pool over these GIL-bound fits measured slower than one thread.
+    """
     truth = build_truth(config)
     fitcfg = _fit_config(config)
-    cells = {}
-    betas = {}
-    for n in config.n_grid:
-        if config.regime == "matrix":
-            cells[n] = (None, truth.B.B, truth.lam, None)
-            betas[n] = 0.0
-        else:
-            M = schedule_M(config.M_schedule, n)
-            basis = cells.get(("basis", M))
-            if basis is None:
-                basis = make_basis(M)
-                cells[("basis", M)] = basis
-            Bstar, lam_star, beta = optimal_parameter(truth, basis, config.r)
-            cells[n] = (basis, Bstar.B, lam_star, truth.evaluator())
-            betas[n] = beta
-
-    def run(key):
-        n, rep = key
-        basis, Bstar, lam_star, truth_eval = cells[n]
-        data = sample_dataset(
-            truth,
-            config.regime,
-            n,
-            (config.base_seed, n, rep),
-            sigma2=config.sigma2,
-            s=config.s,
-            m_bounds=config.m_bounds,
-            m=config.m,
-        )
-        res = optimizer.fit(data, basis, config.r, config.sigma2, config.s, fitcfg)
-        Bhat = matrixcase.align_signs(Bstar, res.params.B.B)
-        row = {
-            "n": n,
-            "replicate": rep,
-            "M": Bstar.shape[0] if basis is None else basis.M,
-            "converged": int(res.converged),
-            "iters": res.n_iter,
-            "frame_error": float(np.linalg.norm(Bhat - Bstar)),
-            "eigenvalue_error": float(np.linalg.norm(res.params.lam - lam_star)),
-        }
-        if truth_eval is not None:
-            row["kernel_l2"] = kernel_l2_distance(
-                kernel_from_params(res.params, basis), truth_eval
-            )
-        return row
-
-    keys = [(n, rep) for n in config.n_grid for rep in range(config.replicates)]
-    rows = _parallel(run, keys, threads)
-
     loss_keys = ["frame_error", "eigenvalue_error"] + (
         ["kernel_l2"] if config.regime != "matrix" else []
     )
-    medians = {}
+    rows, medians, betas = [], {}, {}
     for n in config.n_grid:
+        if config.regime == "matrix":
+            basis = None
+            Bstar, lam_star, betas[n] = truth.B.B, truth.lam, 0.0
+        else:
+            basis = make_basis(schedule_M(config.M_schedule, n))
+            frame, lam_star, betas[n] = optimal_parameter(truth, basis, config.r)
+            Bstar, truth_eval = frame.B, truth.evaluator()
+        cell = []
+        for rep in range(config.replicates):
+            data = sample_dataset(
+                truth,
+                config.regime,
+                n,
+                (config.base_seed, n, rep),
+                sigma2=config.sigma2,
+                s=config.s,
+                m_bounds=config.m_bounds,
+                m=config.m,
+            )
+            res = optimizer.fit(data, basis, config.r, config.sigma2, config.s, fitcfg)
+            Bhat = matrixcase.align_signs(Bstar, res.params.B.B)
+            row = {
+                "n": n,
+                "replicate": rep,
+                "M": Bstar.shape[0],
+                "converged": int(res.converged),
+                "iters": res.n_iter,
+                "frame_error": float(np.linalg.norm(Bhat - Bstar)),
+                "eigenvalue_error": float(np.linalg.norm(res.params.lam - lam_star)),
+            }
+            if basis is not None:
+                row["kernel_l2"] = kernel_l2_distance(
+                    kernel_from_params(res.params, basis), truth_eval
+                )
+            cell.append(row)
         for key in loss_keys:
-            vals = [row[key] for row in rows if row["n"] == n]
-            medians[(n, key)] = float(np.median(vals))
-    slopes = {}
-    for key in loss_keys:
-        meds = [medians[(n, key)] for n in config.n_grid]
-        slopes[key] = loglog_slope(config.n_grid, meds)
+            medians[(n, key)] = float(np.median([row[key] for row in cell]))
+        rows.extend(cell)
+    slopes = {
+        key: loglog_slope(config.n_grid, [medians[(n, key)] for n in config.n_grid])
+        for key in loss_keys
+    }
     return RateResult(
         config=config, rows=tuple(rows), medians=medians, slopes=slopes, betas=betas
     )
@@ -363,42 +352,38 @@ def score_experiment(config: ExperimentConfig, threads: int = 1) -> ScoreResult:
     the raw frame error by gamma_n; the summary reports how much the
     per-n medians of these normalized quantities vary across the grid
     (max over min; near-constant means the expansion captures the
-    estimator to second order).
+    estimator to second order).  The rows' keys are the columns of the
+    score table; threads is accepted and ignored, as in rate_experiment.
     """
     if config.regime != "matrix":
         raise ValueError("the score experiment is defined for the matrix regime")
     if abs(config.sigma2 - 1.0) > 1e-12 or abs(config.s - 1.0) > 1e-12:
         raise ValueError("score experiments run on the normalized scale")
     truth = build_truth(config)
-
-    def run(key):
-        n, rep = key
-        data = sample_dataset(truth, "matrix", n, (config.base_seed, n, rep))
-        rep_report = matrixcase.score_residual(truth, data.cov, n)
-        return {
-            "n": n,
-            "replicate": rep,
-            "gamma": rep_report.gamma_n,
-            "frame_error": rep_report.frame_error,
-            "eigenvalue_error": rep_report.eigenvalue_error,
-            "frame_residual": rep_report.frame_residual,
-            "eigenvalue_residual": rep_report.eigenvalue_residual,
-            "delta_consistency": rep_report.delta_consistency,
-        }
-
-    keys = [(n, rep) for n in config.n_grid for rep in range(config.replicates)]
-    rows = _parallel(run, keys, threads)
-
-    medians = {}
+    rows, medians = [], {}
     for n in config.n_grid:
-        sub = [row for row in rows if row["n"] == n]
-        g = sub[0]["gamma"]
+        cell = []
+        for rep in range(config.replicates):
+            data = sample_dataset(truth, "matrix", n, (config.base_seed, n, rep))
+            report = matrixcase.score_residual(truth, data.cov, n)
+            cell.append({
+                "n": n,
+                "replicate": rep,
+                "gamma": report.gamma_n,
+                "frame_error": report.frame_error,
+                "eigenvalue_error": report.eigenvalue_error,
+                "frame_residual": report.frame_residual,
+                "eigenvalue_residual": report.eigenvalue_residual,
+                "delta_consistency": report.delta_consistency,
+            })
+        g = cell[0]["gamma"]
         medians[(n, "residual_over_gamma2")] = float(
-            np.median([row["frame_residual"] for row in sub]) / g**2
+            np.median([row["frame_residual"] for row in cell]) / g**2
         )
         medians[(n, "error_over_gamma")] = float(
-            np.median([row["frame_error"] for row in sub]) / g
+            np.median([row["frame_error"] for row in cell]) / g
         )
+        rows.extend(cell)
     res_ratios = [medians[(n, "residual_over_gamma2")] for n in config.n_grid]
     err_ratios = [medians[(n, "error_over_gamma")] for n in config.n_grid]
     return ScoreResult(

@@ -52,3 +52,16 @@ def test_matrix_fit_reaches_every_hook():
     calls = traced_layers(lambda: matrixcase.reml_equals_pca(S, 300, 2))
     for layer in ("model.matrix_loss", "calculus.grad_matrix", "calculus.inv_hessian_star_B"):
         assert calls[layer] > 0, layer
+
+
+def test_rate_experiment_reaches_every_hook():
+    cfg = sim.ExperimentConfig(
+        regime="sparse", n_grid=(40, 60), replicates=1, r=2, base_seed=2, sigma2=0.25,
+        m_bounds=(3, 6), M_schedule={"kind": "fixed", "M": 5},
+        truth={"family": "fourier", "eigenvalues": [2.0, 1.0]}, fit={"max_iter": 5},
+    )
+    # called as perfbench/workloads.py calls it
+    calls = traced_layers(lambda: sim.rate_experiment(cfg, threads=1))
+    for layer in ("sim.rate_experiment", "sim.sample_dataset", "sim.optimal_parameter",
+                  "sim.kernel_l2_distance", "optimizer.fit"):
+        assert calls[layer] > 0, layer

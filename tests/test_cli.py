@@ -227,6 +227,26 @@ def test_experiment_config_missing_key_exits_65(tmp_path, capsys):
         assert str(cfg) in err and "missing key 'regime'" in err
 
 
+@pytest.mark.parametrize("design, field", [
+    ({"replicates": 0}, "replicates"),
+    ({"n_grid": []}, "n_grid"),
+    ({"n_grid": [64]}, "n_grid"),
+    ({"n_grid": [64, 64]}, "n_grid"),
+])
+def test_empty_experiment_design_exits_65(tmp_path, capsys, design, field):
+    # a design with no replicate or fewer than two sample sizes has no slope
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({
+        "regime": "matrix", "n_grid": [64, 128], "replicates": 1, "r": 2,
+        "truth": {"M": 8, "eigenvalues": [3.0, 1.0]}, **design,
+    }))
+    out = tmp_path / "r.csv"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert str(cfg) in err and field in err
+    assert not out.exists()
+
+
 def test_fit_without_pairs_exits_65(tmp_path, capsys):
     # every curve has a single observation, so no off-diagonal product exists
     rng = np.random.default_rng(3)

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_orthonormal, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
-from remlpc import optimizer
+from remlpc import calculus, optimizer
 from remlpc.model import CurveData, Dataset, ModelParams, canonicalize, marginal_cov
 from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
+from remlpc.sim import make_true_kernel, sample_dataset
 from remlpc.stiefel import ProductPoint
 
 
@@ -76,6 +77,24 @@ def test_stop_reason_vocabulary_and_max_iter():
     res = fit(data, basis, 2, 0.3, 1.0, FitConfig(max_iter=1, restarts=1))
     assert res.stop_reason in {"grad-tol", "loss-tol", "line-search", "max-iter"}
     assert res.stop_reason == "max-iter" and res.n_iter == 1 and not res.converged
+
+
+def test_grad_tol_fit_never_repeats_a_gradient(monkeypatch):
+    # the step that stops on grad-tol has just taken the gradient at the
+    # final point, so fit must not take it there a second time
+    truth = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=4, seed=3)
+    data = sample_dataset(truth, "sparse", 512, (1, 512, 0), sigma2=0.25, m_bounds=(4, 5))
+    points = []
+    kernel = calculus.grad_functional_raw
+
+    def recording(point, lam, *args):
+        points.append((point.B.tobytes(), lam.tobytes()))
+        return kernel(point, lam, *args)
+
+    monkeypatch.setattr(calculus, "grad_functional_raw", recording)
+    res = fit(data, make_basis(4), 3, 0.25, 1.0, FitConfig(restarts=1, seed=1))
+    assert res.stop_reason == "grad-tol"
+    assert len(points) == len(set(points)) == res.n_iter + 1
 
 
 def test_fit_is_deterministic():
