@@ -40,36 +40,38 @@ def rescaled(theta: ProductPoint, Stilde: np.ndarray, sigma2: float, s: float):
     return ProductPoint(theta.point, theta.zeta + shift), Stilde / sigma2
 
 
-def grad_B(theta: ProductPoint, Stilde: np.ndarray) -> TangentVector:
-    """Canonical-metric gradient of the normalized loss with respect to the frame.
+def grad_B_scaled(theta_n: ProductPoint, SB: np.ndarray) -> TangentVector:
+    """Frame gradient of the normalized loss from the product SB = S~ B.
 
-    The closed form is already tangent (it equals F - B F^T B for the
-    Euclidean derivative F = -2 S B Q^{-1}), so it is split rather than
-    re-projected.
+    theta_n and S~ are on the normalized scale (see `rescaled`); a caller
+    that evaluates one problem at many points rescales S once and shares
+    each point's SB between this and `grad_zeta_scaled`.  The closed form
+    is already tangent (it equals F - B F^T B for the Euclidean derivative
+    F = -2 S~ B Q^{-1}), so it is split rather than re-projected.
     """
-    B = theta.point.B
-    lam = theta.lam
+    B = theta_n.point.B
+    lam = theta_n.lam
     q = lam / (1.0 + lam)
-    SB = Stilde @ B
     G = 2.0 * (B @ (q[:, None] * (B.T @ SB)) - SB * q)
-    A, C = split_tangent(theta.point, G)
-    return TangentVector(theta.point, A, C)
+    A, C = split_tangent(theta_n.point, G)
+    return TangentVector(theta_n.point, A, C)
+
+
+def grad_zeta_scaled(theta_n: ProductPoint, SB: np.ndarray) -> np.ndarray:
+    """Log-eigenvalue gradient of the normalized loss from SB = S~ B (see `grad_B_scaled`)."""
+    lam = theta_n.lam
+    quad = np.einsum("mk,mk->k", theta_n.point.B, SB)  # diag(B^T S~ B)
+    return lam / (1.0 + lam) ** 2 * (1.0 + lam - quad)
+
+
+def grad_B(theta: ProductPoint, Stilde: np.ndarray) -> TangentVector:
+    """Canonical-metric gradient of the normalized loss with respect to the frame."""
+    return grad_B_scaled(theta, Stilde @ theta.point.B)
 
 
 def grad_zeta(theta: ProductPoint, Stilde: np.ndarray) -> np.ndarray:
     """Gradient of the normalized loss in log-eigenvalue coordinates."""
-    B = theta.point.B
-    lam = theta.lam
-    quad = np.einsum("mk,mn,nk->k", B, Stilde, B)
-    return lam / (1.0 + lam) ** 2 * (1.0 + lam - quad)
-
-
-def grad_B_scaled(theta, Stilde, sigma2: float, s: float) -> TangentVector:
-    return grad_B(*rescaled(theta, Stilde, sigma2, s))
-
-
-def grad_zeta_scaled(theta, Stilde, sigma2: float, s: float) -> np.ndarray:
-    return grad_zeta(*rescaled(theta, Stilde, sigma2, s))
+    return grad_zeta_scaled(theta, Stilde @ theta.point.B)
 
 
 def _euclidean_pieces(theta: ProductPoint, Stilde: np.ndarray):
@@ -106,7 +108,7 @@ def hessian_zeta(theta: ProductPoint, Stilde: np.ndarray) -> np.ndarray:
     """Diagonal of the normalized loss Hessian in log-eigenvalue coordinates."""
     B = theta.point.B
     lam = theta.lam
-    quad = np.einsum("mk,mn,nk->k", B, Stilde, B)
+    quad = np.einsum("mk,mk->k", B, Stilde @ B)  # diag(B^T S~ B)
     return lam / (1.0 + lam) ** 3 * ((lam - 1.0) * quad + (1.0 + lam))
 
 

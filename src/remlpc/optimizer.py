@@ -177,12 +177,22 @@ class FunctionalObjective:
 @dataclass(frozen=True)
 class MatrixObjective:
     """Sample-covariance loss tr(Gamma^-1 S) + log det Gamma (no 1/2 factor,
-    the convention the score calculus differentiates)."""
+    the convention the score calculus differentiates).
+
+    The gradient works on the normalized scale of `calculus.rescaled`: the
+    zeta shift log(s / sigma2) is formed once here, and each gradient forms
+    S B / sigma2 once for both of its blocks (dividing the M x r product
+    rather than keeping an M x M copy of S / sigma2).
+    """
 
     S: np.ndarray = field(repr=False)
     sigma2: float
     s: float
     grad_tol: float = 1e-8
+    shift: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", np.log(self.s) - np.log(self.sigma2))
 
     @property
     def dim(self) -> int:
@@ -192,9 +202,11 @@ class MatrixObjective:
         return model.matrix_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.S)
 
     def grad(self, theta: ProductPoint) -> calculus.GradPair:
+        theta_n = ProductPoint(theta.point, theta.zeta + self.shift)
+        SB = (self.S @ theta.point.B) / self.sigma2
         return calculus.GradPair(
-            B=calculus.grad_B_scaled(theta, self.S, self.sigma2, self.s),
-            zeta=calculus.grad_zeta_scaled(theta, self.S, self.sigma2, self.s),
+            B=calculus.grad_B_scaled(theta_n, SB),
+            zeta=calculus.grad_zeta_scaled(theta_n, SB),
         )
 
     def pooled_start(self, r: int):

@@ -243,13 +243,17 @@ def _fit_config(config: ExperimentConfig) -> optimizer.FitConfig:
     return optimizer.FitConfig(**{"restarts": 1, **config.fit})
 
 
-def loglog_slope(ns, values) -> tuple[float, float]:
-    """Least-squares slope of log(values) on log(ns), with its standard error."""
+def _require_two_distinct(ns) -> None:
     distinct = np.unique(ns)
     if distinct.size < 2:
         raise ValueError(
             f"a log-log slope needs at least two distinct n in n_grid, got {distinct.tolist()}"
         )
+
+
+def loglog_slope(ns, values) -> tuple[float, float]:
+    """Least-squares slope of log(values) on log(ns), with its standard error."""
+    _require_two_distinct(ns)
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     X = np.stack([x, np.ones_like(x)], axis=1)
@@ -279,6 +283,7 @@ def rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateResult:
     accepted and ignored: the replicates run serially, because a thread
     pool over these GIL-bound fits measured slower than one thread.
     """
+    _require_two_distinct(config.n_grid)  # before any fit, not after them all
     truth = build_truth(config)
     fitcfg = _fit_config(config)
     loss_keys = ["frame_error", "eigenvalue_error"] + (

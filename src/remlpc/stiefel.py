@@ -11,6 +11,7 @@ Euclidean factor for log-eigenvalue coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -55,9 +56,17 @@ class StiefelPoint:
         return self.B.shape == other.B.shape and np.array_equal(self.B, other.B)
 
 
+@lru_cache(maxsize=64)
+def _strict_lower(r: int) -> np.ndarray:
+    mask = np.tri(r, r, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _exact_skew(A: np.ndarray) -> np.ndarray:
     # keep only the strictly-lower triangle so A + A^T = 0 holds exactly
-    L = np.tril(A, -1)
+    # (np.tril, but with the mask built once per size)
+    L = np.where(_strict_lower(A.shape[0]), A, 0.0)
     return L - L.T
 
 
@@ -93,6 +102,11 @@ class TangentVector:
     def scaled(self, c: float) -> "TangentVector":
         return TangentVector(self.base, c * self.A, c * self.C)
 
+    @cached_property
+    def _geodesic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (Q, w, V) of `geodesic_factors`: one factorization per tangent
+        return geodesic_factors(self)
+
 
 def split_tangent(point: StiefelPoint, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split an already-tangent matrix U into its skew and normal blocks."""
@@ -116,37 +130,42 @@ def tangent_project(point: StiefelPoint, Z: np.ndarray) -> TangentVector:
     return TangentVector(point, A, C)
 
 
-def skew_exp(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a skew-symmetric matrix; the result is orthogonal."""
-    S = np.asarray(S, dtype=float)
-    if np.abs(S + S.T).max() > 1e-12:
-        raise ValueError("input is not skew-symmetric")
-    # exp(S) = I + V diag(e^{-iw} - 1) V^H from the Hermitian eigensystem of
-    # iS: orthogonal to rounding at any norm of S (a Pade approximant drifts
-    # at norms near 1e4), and with e^{-iw} - 1 from expm1 the step E - I
-    # keeps its relative accuracy as S goes to 0, so short trial steps of
-    # a line search still resolve the loss change
-    w, V = np.linalg.eigh(1j * S)
-    E = np.eye(S.shape[0]) + ((V * np.expm1(-1j * w)) @ V.conj().T).real
+def _exp_from_eigh(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """exp(tS) for a skew S from the eigensystem (w, V) of the Hermitian iS."""
+    # exp(tS) = I + V diag(e^{-itw} - 1) V^H: orthogonal to rounding at any
+    # norm of tS (a Pade approximant drifts at norms near 1e4), and with
+    # e^{-itw} - 1 from expm1 the step E - I keeps its relative accuracy as
+    # tS goes to 0, so short trial steps of a line search still resolve
+    # the loss change
+    n = w.size
+    E = np.eye(n) + ((V * np.expm1(-1j * t * w)) @ V.conj().T).real
     # orthogonality of the exact result gives a cheap accuracy check
-    drift = np.linalg.norm(E.T @ E - np.eye(S.shape[0]))
+    drift = np.linalg.norm(E.T @ E - np.eye(n))
     if drift > 1e-10:
         raise ArithmeticError(f"matrix exponential lost orthogonality ({drift:.3e})")
     return E
 
 
-def exp_map(tangent: TangentVector, t: float = 1.0) -> StiefelPoint:
-    """Geodesic of the canonical metric from the base point with velocity `tangent`.
+def skew_exp(S: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a skew-symmetric matrix; the result is orthogonal."""
+    S = np.asarray(S, dtype=float)
+    if np.abs(S + S.T).max() > 1e-12:
+        raise ValueError("input is not skew-symmetric")
+    return _exp_from_eigh(*np.linalg.eigh(1j * S), 1.0)
 
-    Uses the compact 2r x 2r form: with C = QR (column-pivoted QR, so a
-    vanishing normal block stays exactly zero), the geodesic is
-    B M(t) + Q N(t) where [M; N] solves the skew block exponential.
+
+def geodesic_factors(tangent: TangentVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of the geodesic with velocity `tangent` that do not depend on time.
+
+    With C = QR (column-pivoted QR, so a vanishing normal block stays
+    exactly zero) the geodesic (Edelman, Arias & Smith 1998) is
+    B M(t) + Q N(t), where [M; N] are the first r columns of exp(t S)
+    for the 2r x 2r skew block S = [[A, -R^T], [R, 0]].  Returns Q and
+    the eigensystem (w, V) of iS.  `exp_map` calls it once per tangent
+    and caches the result on it.
     """
-    B = tangent.base.B
-    M, r = B.shape
     A, C = tangent.A, tangent.C
-    if t == 0.0 or (not A.any() and not C.any()):
-        return tangent.base
+    r = A.shape[0]
     Q, R, piv = scipy.linalg.qr(C, mode="economic", pivoting=True)
     inv = np.empty_like(piv)
     inv[piv] = np.arange(r)
@@ -155,8 +174,22 @@ def exp_map(tangent: TangentVector, t: float = 1.0) -> StiefelPoint:
     S[:r, :r] = A
     S[:r, r:] = -R.T
     S[r:, :r] = R
-    W = skew_exp(t * S)
-    MN = W[:, :r]
+    w, V = np.linalg.eigh(1j * S)
+    return Q, w, V
+
+
+def exp_map(tangent: TangentVector, t: float = 1.0) -> StiefelPoint:
+    """Geodesic of the canonical metric from the base point with velocity `tangent`.
+
+    Uses the compact 2r x 2r form of `geodesic_factors`, factored once per
+    tangent; each t then only exponentiates eigenvalues.
+    """
+    B = tangent.base.B
+    r = B.shape[1]
+    if t == 0.0 or (not tangent.A.any() and not tangent.C.any()):
+        return tangent.base
+    Q, w, V = tangent._geodesic
+    MN = _exp_from_eigh(w, V, t)[:, :r]
     return StiefelPoint(B @ MN[:r] + Q @ MN[r:])
 
 

@@ -19,7 +19,7 @@ from remlpc.model import (
     marginal_cov,
     matrix_loss,
 )
-from remlpc.optimizer import objective
+from remlpc.optimizer import MatrixObjective, objective
 from remlpc.stiefel import (
     ProductPoint,
     ProductTangent,
@@ -143,7 +143,7 @@ def test_functional_gradient_matches_fd(M, r, m_lo, m_span, sigma2, s, seed):
     objective_fd_check(objective(data, basis, sigma2, s), theta, seed + 2)
 
 
-def test_objective_grads_call_the_kernels():
+def test_objective_grads_call_the_kernels(monkeypatch):
     sigma2, s = 0.4, 1.1
     basis, data, batches = make_functional(5, 2, 12, seed=21, sigma2=sigma2, s=s)
     theta = random_product_point(5, 2, 22)
@@ -152,9 +152,26 @@ def test_objective_grads_call_the_kernels():
     assert np.array_equal(g.B.full(), want.B.full())
     assert np.array_equal(g.zeta, want.zeta)
     S = spiked_sample_cov(5, 2, 90, 23, sigma2=sigma2, s=s)
-    gm = objective(Dataset.matrix(S, 90), None, sigma2, s).grad(theta)
-    direct = calculus.grad_B_scaled(theta, S, sigma2, s)
-    assert np.max(np.abs(gm.B.full() - direct.full())) < 1e-14
+    obj = objective(Dataset.matrix(S, 90), None, sigma2, s)
+    calls = []
+
+    def counted(name):
+        kernel = getattr(calculus, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("grad_B_scaled", "grad_zeta_scaled"):
+        monkeypatch.setattr(calculus, name, counted(name))
+    gm = obj.grad(theta)
+    # one call of each kernel per gradient
+    assert calls == ["grad_B_scaled", "grad_zeta_scaled"]
+    theta_n, Sn = calculus.rescaled(theta, S, sigma2, s)
+    assert np.max(np.abs(gm.B.full() - calculus.grad_B(theta_n, Sn).full())) < 1e-14
+    assert np.max(np.abs(gm.zeta - calculus.grad_zeta(theta_n, Sn))) < 1e-14
     gv = ProductTangent(gm.B, gm.zeta)
     assert gm.norm() == np.sqrt(product_inner(gv, gv))
 
@@ -276,9 +293,13 @@ def test_rescaling_reduces_general_scale_to_normalized():
     theta_n, Sn = calculus.rescaled(theta, S, sigma2, s)
     assert np.max(np.abs(theta_n.zeta - (theta.zeta + np.log(s) - np.log(sigma2)))) < 1e-15
     assert np.max(np.abs(Sn - S / sigma2)) < 1e-15
-    g_gen = calculus.grad_B_scaled(theta, S, sigma2, s)
+    # the matrix objective shifts zeta and hands the kernels S~ B = S B / sigma2
+    obj = MatrixObjective(S, sigma2, s)
+    theta_o = ProductPoint(theta.point, theta.zeta + obj.shift)
+    SB = (S @ theta.point.B) / sigma2
+    g_gen = calculus.grad_B_scaled(theta_o, SB)
     g_norm = calculus.grad_B(theta_n, Sn)
     assert np.max(np.abs(g_gen.full() - g_norm.full())) < 1e-13
-    z_gen = calculus.grad_zeta_scaled(theta, S, sigma2, s)
+    z_gen = calculus.grad_zeta_scaled(theta_o, SB)
     z_norm = calculus.grad_zeta(theta_n, Sn)
     assert np.max(np.abs(z_gen - z_norm)) < 1e-13

@@ -91,6 +91,37 @@ def test_canonicalize_orders_and_fixes_signs():
     assert np.array_equal(B3, B2) and np.array_equal(lam3, lam2)
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    M=st.integers(2, 10),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    ties=st.booleans(),
+)
+def test_canonicalize_is_idempotent(M, data, seed, ties):
+    r = data.draw(st.integers(1, M // 2 if ties else M))
+    # eigenvalues drawn from a few values, so ties in lam are common
+    lam = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                      min_size=r, max_size=r)))
+    rng = np.random.default_rng(seed)
+    if ties:
+        # columns (e_2k +- e_2k+1) / sqrt(2): two entries of equal magnitude
+        B = np.zeros((M, r))
+        for k in range(r):
+            B[2 * k, k] = rng.choice([-1.0, 1.0]) / np.sqrt(2.0)
+            B[2 * k + 1, k] = rng.choice([-1.0, 1.0]) / np.sqrt(2.0)
+    else:
+        B = random_orthonormal(M, r, seed).B
+    B1, lam1 = canonicalize(B, lam)
+    B2, lam2 = canonicalize(B1, lam1)
+    assert np.array_equal(B2, B1) and np.array_equal(lam2, lam1)
+    assert np.all(np.diff(lam1) <= 0.0)
+    # the result is B with its columns reordered and sign-flipped
+    order = np.argsort(-lam, kind="stable")
+    signs = np.sign(np.einsum("mk,mk->k", B[:, order], B1))
+    assert np.array_equal(B1, B[:, order] * signs)
+
+
 # ---------------------------------------------------------------- datasets
 
 

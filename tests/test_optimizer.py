@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_orthonormal, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
-from remlpc import calculus, optimizer
+from remlpc import calculus, optimizer, stiefel
 from remlpc.model import CurveData, Dataset, ModelParams, canonicalize, marginal_cov
 from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
@@ -95,6 +95,47 @@ def test_grad_tol_fit_never_repeats_a_gradient(monkeypatch):
     res = fit(data, make_basis(4), 3, 0.25, 1.0, FitConfig(restarts=1, seed=1))
     assert res.stop_reason == "grad-tol"
     assert len(points) == len(set(points)) == res.n_iter + 1
+
+
+class RejectFirst:
+    """An objective whose first k loss evaluations fail any Armijo test."""
+
+    def __init__(self, inner, k):
+        self.inner, self.left = inner, k
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def loss(self, theta):
+        if self.left:
+            self.left -= 1
+            return np.inf
+        return self.inner.loss(theta)
+
+
+@pytest.mark.parametrize("k", [0, 3, 9])
+def test_backtracking_factors_its_direction_once(monkeypatch, k):
+    # each halving re-evaluates the same geodesic at a shorter t; only the
+    # exponentiation of the eigenvalues may be redone
+    S = spiked_sample_cov(8, 2, 200, 3)
+    obj = objective(Dataset.matrix(S, 200), None, 1.0)
+    theta = ProductPoint(random_orthonormal(8, 2, 4), np.log([2.0, 1.0]))
+    counts = {"geodesic_factors": 0, "product_exp": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(stiefel, "geodesic_factors")
+    counted(optimizer, "product_exp")
+    _, info = optimizer.step(theta, RejectFirst(obj, k), FitConfig(), obj.loss(theta))
+    assert info.halvings == k and info.step_size == 0.5**k
+    assert counts == {"geodesic_factors": 1, "product_exp": k + 1}
 
 
 def test_fit_is_deterministic():

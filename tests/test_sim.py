@@ -1,8 +1,11 @@
 """Simulation harness: truths, sampling, schedules, experiments, oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from remlpc import sim
 from remlpc.bspline import make_basis
 from remlpc.sim import (
     ExperimentConfig,
@@ -88,6 +91,16 @@ def test_experiment_config_roundtrip():
         truth={"family": "fourier", "eigenvalues": [2.0, 1.0], "seed": 1},
     )
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("n_grid", [(64,), (64, 64)])
+def test_rate_experiment_rejects_one_n_before_fitting(monkeypatch, n_grid):
+    fits = []
+    monkeypatch.setattr(sim.optimizer, "fit", lambda *a, **k: fits.append(a))
+    cfg = dataclasses.replace(TINY_MATRIX, n_grid=n_grid)
+    with pytest.raises(ValueError, match="two distinct n in n_grid"):
+        rate_experiment(cfg)
+    assert fits == []
 
 
 def test_loglog_slope_recovers_power_law():

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_orthonormal, random_product_point, random_tangent
+from remlpc import stiefel
 from remlpc.stiefel import (
     BaseMismatchError,
     ProductPoint,
@@ -36,6 +40,14 @@ def test_tangent_requires_skew_A():
     P = random_orthonormal(6, 2, 0)
     with pytest.raises(ValueError):
         TangentVector(P, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((6, 2)))
+
+
+def test_exact_skew_is_bitwise_tril_form():
+    rng = np.random.default_rng(30)
+    for r in range(1, 7):
+        A = rng.standard_normal((r, r))
+        L = np.tril(A, -1)
+        assert stiefel._exact_skew(A).tobytes() == (L - L.T).tobytes()
 
 
 def test_split_then_rebuild_roundtrip():
@@ -141,6 +153,33 @@ def test_exp_map_first_order_residual_quarters():
     r1 = np.linalg.norm(exp_map(U, t).B - (P.B + t * U.full()))
     r2 = np.linalg.norm(exp_map(U, t / 2).B - (P.B + (t / 2) * U.full()))
     assert 0.75 * 4.0 <= r1 / r2 <= 1.25 * 4.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    M=st.integers(2, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(0.05, 3.0),
+)
+def test_factored_geodesic_matches_expm_on_halving_sequence(M, data, seed, scale):
+    # a line search evaluates one direction at t = 1, 1/2, ..., 2^-40; the
+    # direction is factored once and every trial agrees with the
+    # Edelman-Arias-Smith geodesic [B Q] expm(t S) [I; 0], S = [[A, -R^T], [R, 0]],
+    # built here from an unpivoted QR (the geodesic does not depend on the QR)
+    r = data.draw(st.integers(1, M))
+    P = random_orthonormal(M, r, seed)
+    U = random_tangent(P, seed + 1, scale=scale)
+    Q, R = np.linalg.qr(U.C)
+    S = np.block([[U.A, -R.T], [R, np.zeros((R.shape[0], R.shape[0]))]])
+    with mock.patch.object(stiefel, "geodesic_factors", wraps=stiefel.geodesic_factors) as f:
+        for t in 0.5 ** np.arange(41):
+            got = exp_map(U, t).B
+            E = expm(t * S)
+            want = P.B @ E[:r, :r] + Q @ E[r:, :r]
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.linalg.norm(got.T @ got - np.eye(r)) < 1e-12
+    assert f.call_count == 1
 
 
 def test_skew_exp_orthogonal():
