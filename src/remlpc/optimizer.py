@@ -1,16 +1,23 @@
 """Geodesic descent for the covariance losses on (Stiefel) x R^r.
 
-Search directions are the gradient preconditioned by the inverse of the
-closed-form population Hessian (a positive definite operator, so the
-direction is always a descent direction), falling back to the plain
-negative canonical gradient near eigenvalue ties.  Steps follow exact
-geodesics with Armijo backtracking, which keeps the loss trace
-nonincreasing.
+Search directions start from the gradient preconditioned by the inverse
+of the closed-form population Hessian (Fisher scoring; the plain negative
+canonical gradient near eigenvalue ties).  In the matrix regime that is
+the whole direction, because the population Hessian is the exact Hessian
+at the optimum.  In the curve regime it is the initial operator H0 of a
+Riemannian L-BFGS two-loop recursion (Huang, Gallivan & Absil 2015) over
+the last few accepted steps, whose curvature pairs move between base
+points by tangent projection; this turns the linear local rate of Fisher
+scoring, set by how far the sample is from the model, into a superlinear
+one.  Steps follow exact geodesics with Armijo backtracking, which keeps
+the loss trace nonincreasing; a direction that is not a descent direction
+falls back to the negative gradient and clears the curvature memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,9 +25,11 @@ from . import calculus, model
 from .bspline import OrthoBasis
 from .model import CurveBatches, Dataset, ModelParams, canonicalize, curve_batches
 from .stiefel import (
+    GeodesicError,
     ProductPoint,
     ProductTangent,
     StiefelPoint,
+    TangentVector,
     product_exp,
     product_inner,
 )
@@ -43,6 +52,8 @@ INIT_RIDGE = 1e-8
 # the initializer accumulates its normal equations over chunks of at most
 # this many observations, which bounds its working memory whatever n is
 INIT_CHUNK_ROWS = 1024
+# the curve regime's L-BFGS direction remembers at most this many (s, y) pairs
+CURVATURE_PAIRS = 5
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,10 @@ class FitConfig:
     """Knobs of the geodesic descent loop.
 
     grad_tol of None takes the objective's own default (1e-8 for matrix
-    data, 1e-6 for curve data).
+    data, 1e-6 for curve data).  fisher=True preconditions by the
+    population Hessian: Fisher scoring in the matrix regime, L-BFGS seeded
+    by Fisher scoring in the curve regime.  fisher=False is plain
+    gradient descent.
     """
 
     max_iter: int = 500
@@ -157,6 +171,7 @@ class FunctionalObjective:
     sigma2: float
     s: float
     grad_tol: float = 1e-6
+    curvature_pairs: ClassVar[int] = CURVATURE_PAIRS
 
     @property
     def dim(self) -> int:
@@ -190,6 +205,9 @@ class MatrixObjective:
     s: float
     grad_tol: float = 1e-8
     shift: float = field(init=False, repr=False)
+    # the Fisher direction is already the exact Newton direction at the
+    # optimum here; an L-BFGS memory on top of it made the fits slower
+    curvature_pairs: ClassVar[int] = 0
 
     def __post_init__(self):
         object.__setattr__(self, "shift", np.log(self.s) - np.log(self.sigma2))
@@ -236,21 +254,120 @@ def init_params(obj: Objective, r: int, init: str, rng: np.random.Generator) -> 
     return ModelParams(M=obj.dim, r=r, B=B0, lam=lam0, sigma2=obj.sigma2, s=obj.s)
 
 
-def _direction(theta, grad, obj: Objective, fisher: bool) -> ProductTangent:
-    """Search direction: preconditioned by the closed-form population
-    Hessian inverse when enabled (positive definite, hence always a
-    descent direction), plain negative gradient otherwise."""
-    neg = grad.tangent().scaled(-1.0)
+class CurvatureMemory:
+    """The (s, y) pairs of the L-BFGS direction, kept at the current base point.
+
+    A product tangent (A, C, dzeta) is stored as one flat row [A, C,
+    dzeta], in which the product metric weighs the skew block by 1/2.
+    `observe` carries every stored pair, and the step accepted last, to the
+    new frame by tangent projection (the vector transport of Absil, Mahony
+    & Sepulchre 2008, section 8.1; zeta parts carry over as they are) and
+    forms the new pair from the gradient there.  A new pair with y^T s <= 0
+    is skipped.  A stored pair keeps the rho = 1 / y^T s it was added
+    with: any positive rho keeps the two-loop operator positive definite,
+    and re-measuring y^T s after every transport gave a tiny fit that
+    starts at the eigenvalue floor several times the loss evaluations.
+    """
+
+    def __init__(self, capacity: int, M: int, r: int):
+        self.capacity, self.M, self.r = capacity, M, r
+        self.weight = np.ones(r * r + M * r + r)
+        self.weight[: r * r] = 0.5
+        self.pending = None  # (frame, step, gradient) of the last accepted step
+        self.clear()
+
+    def clear(self) -> None:
+        self.S = np.empty((0, self.weight.size))
+        self.Y = np.empty((0, self.weight.size))
+        self.rho = np.empty(0)
+
+    def __len__(self) -> int:
+        return self.rho.size
+
+    @staticmethod
+    def flat(A: np.ndarray, C: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
+        return np.concatenate((A.ravel(), C.ravel(), dzeta))
+
+    def split(self, v: np.ndarray):
+        """The (A, C, dzeta) blocks of a flat row, as views."""
+        M, r = self.M, self.r
+        return v[: r * r].reshape(r, r), v[r * r : r * r + M * r].reshape(M, r), v[r * r + M * r :]
+
+    def _transport(self, rows: np.ndarray, B_old: np.ndarray, B_new: np.ndarray) -> np.ndarray:
+        k, M, r = rows.shape[0], self.M, self.r
+        rr, mr = r * r, M * r
+        # each row as the M x r matrix B_old A + C, projected onto the tangent space at B_new
+        U = B_old @ rows[:, :rr].reshape(k, r, r) + rows[:, rr : rr + mr].reshape(k, M, r)
+        BtU = B_new.T @ U
+        out = np.empty_like(rows)
+        out[:, :rr] = (0.5 * (BtU - BtU.transpose(0, 2, 1))).reshape(k, rr)
+        out[:, rr : rr + mr] = (U - B_new @ BtU).reshape(k, mr)
+        out[:, rr + mr :] = rows[:, rr + mr :]
+        return out
+
+    def add(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Remember the pair (s, y) at the current base, unless y^T s <= 0."""
+        ys = (self.weight * y) @ s
+        if ys <= 0.0:
+            return
+        self.S = np.vstack((self.S, s))[-self.capacity :]
+        self.Y = np.vstack((self.Y, y))[-self.capacity :]
+        self.rho = np.append(self.rho, 1.0 / ys)[-self.capacity :]
+
+    def remember(self, B: np.ndarray, t: float, d: ProductTangent, grad: calculus.GradPair):
+        """Hold the accepted step t d from frame B until the gradient at its end is known."""
+        s = t * self.flat(d.U.A, d.U.C, d.dzeta)
+        self.pending = (B, s, self.flat(grad.B.A, grad.B.C, grad.zeta))
+
+    def observe(self, B: np.ndarray, grad: calculus.GradPair) -> None:
+        """Move the memory to frame B, where the pending step ended, and add its pair."""
+        if self.pending is None:
+            return
+        B_old, s, g_old = self.pending
+        self.pending = None
+        k = len(self)
+        rows = self._transport(np.vstack((self.S, self.Y, s, g_old)), B_old, B)
+        self.S, self.Y = rows[:k], rows[k : 2 * k]
+        self.add(rows[2 * k], self.flat(grad.B.A, grad.B.C, grad.zeta) - rows[2 * k + 1])
+
+
+def _direction(
+    theta, grad, obj: Objective, fisher: bool, memory: CurvatureMemory | None = None
+) -> ProductTangent:
+    """Search direction.  With fisher, the L-BFGS two-loop recursion over
+    `memory` in the product metric, with the closed-form population
+    Hessian inverse as its initial operator H0 (the identity near
+    eigenvalue ties).  H0 scales A symmetrically in (i, j), the columns of
+    C and zeta, so it is self-adjoint and positive definite in that metric;
+    an empty memory gives the Fisher direction H0 g itself.  Without
+    fisher, the plain negative gradient."""
     if not fisher:
-        return neg
-    theta_n = ProductPoint(theta.point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
+        return grad.tangent().scaled(-1.0)
+    point = theta.point
+    qB, qz = grad.B, grad.zeta
+    if memory:  # first loop, newest pair first, on flat rows
+        q = memory.flat(grad.B.A, grad.B.C, grad.zeta)
+        alpha = np.empty(len(memory))
+        for i in reversed(range(len(memory))):
+            alpha[i] = memory.rho[i] * ((memory.weight * memory.S[i]) @ q)
+            q = q - alpha[i] * memory.Y[i]
+        qA, qC, qz = memory.split(q)
+        qB = TangentVector(point, qA, qC)
+    theta_n = ProductPoint(point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
     try:
-        dB = calculus.inv_hessian_star_B(theta_n, grad.B).scaled(-1.0)
+        hB = calculus.inv_hessian_star_B(theta_n, qB)
+        lam_n = theta_n.lam
+        hz = np.minimum(((1.0 + lam_n) / lam_n) ** 2, 1e4) * qz
     except calculus.NearDegenerateError:
-        return neg
-    lam_n = theta_n.lam
-    precond = np.minimum(((1.0 + lam_n) / lam_n) ** 2, 1e4)
-    return ProductTangent(dB, -precond * grad.zeta)
+        hB, hz = qB, qz
+    hA, hC = hB.A, hB.C
+    if memory:  # second loop, oldest pair first
+        h = memory.flat(hA, hC, hz)
+        for i in range(len(memory)):
+            beta = memory.rho[i] * ((memory.weight * memory.Y[i]) @ h)
+            h = h + (alpha[i] - beta) * memory.S[i]
+        hA, hC, hz = memory.split(h)
+    return ProductTangent(TangentVector(point, -hA, -hC), -hz)
 
 
 @dataclass
@@ -268,29 +385,46 @@ def step(
     config: FitConfig,
     loss0: float,
     t0: float = 1.0,
+    memory: CurvatureMemory | None = None,
 ) -> tuple[ProductPoint, StepInfo]:
     """One Armijo-backtracked geodesic step from a point whose loss is loss0.
 
     Never increases the loss; returns theta unmoved (step size 0) once the
-    gradient norm is below obj.grad_tol.
+    gradient norm is below obj.grad_tol.  A trial whose geodesic cannot be
+    computed accurately is rejected like one that fails the Armijo test.
+    `memory`, if given, takes the gradient at theta as the end of the step
+    it holds, and holds the step accepted here.
     """
     grad = obj.grad(theta)
     gnorm = grad.norm()
     if gnorm < obj.grad_tol:
         return theta, StepInfo(loss0, gnorm, 0.0, 0, False)
-    d = _direction(theta, grad, obj, config.fisher)
+    if memory is not None:
+        memory.observe(theta.point.B, grad)
+    d = _direction(theta, grad, obj, config.fisher, memory)
     g = grad.tangent()
     slope = product_inner(g, d)
     if slope >= 0.0:  # fall back if preconditioning failed to give descent
         d = g.scaled(-1.0)
         slope = -gnorm**2
+        if memory is not None:
+            memory.clear()
     t = t0
-    for h in range(MAX_HALVINGS + 1):
-        cand = product_exp(theta, d, t)
-        loss_t = obj.loss(cand)
-        if loss_t <= loss0 + ARMIJO_C * t * slope:
-            return cand, StepInfo(loss_t, gnorm, t, h, False)
-        t *= STEP_SHRINK
+    # a trial so far out that its eigenvalues overflow has a NaN or infinite
+    # loss, which the Armijo test rejects without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for h in range(MAX_HALVINGS + 1):
+            try:
+                cand = product_exp(theta, d, t)
+            except GeodesicError:
+                t *= STEP_SHRINK
+                continue
+            loss_t = obj.loss(cand)
+            if loss_t <= loss0 + ARMIJO_C * t * slope:
+                if memory is not None:
+                    memory.remember(theta.point.B, t, d, grad)
+                return cand, StepInfo(loss_t, gnorm, t, h, False)
+            t *= STEP_SHRINK
     return theta, StepInfo(loss0, gnorm, 0.0, MAX_HALVINGS, True)
 
 
@@ -299,13 +433,16 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
     reason, the iteration count, and the gradient norm at the final point
     when the last step already computed it (None otherwise)."""
     trace = [obj.loss(theta)]
+    memory = None
+    if config.fisher and obj.curvature_pairs:
+        memory = CurvatureMemory(obj.curvature_pairs, *theta.point.shape)
     t_prev = 1.0
     iters = 0
     tiny = 0
     reason = "max-iter"
     while iters < config.max_iter:
         t0 = min(max(4.0 * t_prev, 1e-2), 1.0)
-        theta_new, info = step(theta, obj, config, trace[-1], t0)
+        theta_new, info = step(theta, obj, config, trace[-1], t0, memory)
         if info.step_size == 0.0:  # theta did not move; step took its gradient
             reason = "line-search" if info.stalled else "grad-tol"
             return theta, np.asarray(trace), reason, iters, info.grad_norm

@@ -24,6 +24,10 @@ class BaseMismatchError(ValueError):
     """Raised when two tangents do not share a base point."""
 
 
+class GeodesicError(ArithmeticError):
+    """Raised when a computed geodesic step is not orthogonal to rounding."""
+
+
 def _polar_orthonormalize(B: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(B, full_matrices=False)
     return u @ vt
@@ -142,7 +146,7 @@ def _exp_from_eigh(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     # orthogonality of the exact result gives a cheap accuracy check
     drift = np.linalg.norm(E.T @ E - np.eye(n))
     if drift > 1e-10:
-        raise ArithmeticError(f"matrix exponential lost orthogonality ({drift:.3e})")
+        raise GeodesicError(f"matrix exponential lost orthogonality ({drift:.3e})")
     return E
 
 

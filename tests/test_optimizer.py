@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_orthonormal, spiked_sample_cov
+from conftest import random_orthonormal, random_product_point, random_tangent, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
-from remlpc import calculus, optimizer, stiefel
+from remlpc import calculus, model, optimizer, stiefel
 from remlpc.model import CurveData, Dataset, ModelParams, canonicalize, marginal_cov
 from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
@@ -136,6 +136,186 @@ def test_backtracking_factors_its_direction_once(monkeypatch, k):
     _, info = optimizer.step(theta, RejectFirst(obj, k), FitConfig(), obj.loss(theta))
     assert info.halvings == k and info.step_size == 0.5**k
     assert counts == {"geodesic_factors": 1, "product_exp": k + 1}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_failed_geodesic_is_a_rejected_trial(monkeypatch, k):
+    # a trial whose geodesic loses orthogonality is halved like one that
+    # fails the Armijo test; it neither ends the fit nor is accepted
+    S = spiked_sample_cov(8, 2, 200, 3)
+    obj = objective(Dataset.matrix(S, 200), None, 1.0)
+    theta = ProductPoint(random_orthonormal(8, 2, 4), np.log([2.0, 1.0]))
+    exp, left = optimizer.product_exp, [k]
+
+    def failing(*args):
+        if left[0]:
+            left[0] -= 1
+            raise stiefel.GeodesicError("matrix exponential lost orthogonality")
+        return exp(*args)
+
+    monkeypatch.setattr(optimizer, "product_exp", failing)
+    moved, info = optimizer.step(theta, obj, FitConfig(), obj.loss(theta))
+    assert info.halvings == k and info.step_size == 0.5**k and not info.stalled
+    assert info.loss == obj.loss(moved) < obj.loss(theta)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its calls."""
+    fn, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+SPLINE_TRUTH = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=4, seed=5)
+
+
+def test_fit_started_at_the_eigenvalue_floor_reaches_interior_optimum(monkeypatch):
+    # the pooled start puts lam_3 at its floor of 1e-6; Fisher scoring alone
+    # stalled there for 500 iterations at loss 5.2 and over 6000 loss calls,
+    # but the optimum is interior (lam about (2.19, 1.17, 0.51))
+    data = sample_dataset(SPLINE_TRUTH, "sparse", 64, (1, 64, 1), sigma2=0.25, m_bounds=(4, 5))
+    losses = counting(monkeypatch, model, "functional_loss")
+    res = fit(data, make_basis(4), 3, 0.25, 1.0, FitConfig(restarts=1))
+    assert res.stop_reason == "grad-tol" and res.converged
+    assert len(losses) < 1000
+    assert res.loss < 2.48
+    assert res.params.lam[2] > 0.1
+
+
+# final loss of the fit below under Fisher scoring, which took 30 iterations
+FISHER_LOSS_SEED1 = 2.7059911379121337
+
+
+def test_curve_descent_converges_superlinearly():
+    data = sample_dataset(SPLINE_TRUTH, "sparse", 2048, (1, 2048, 0), sigma2=0.25,
+                          m_bounds=(2, 10))
+    res = fit(data, make_basis(4), 3, 0.25, 1.0, FitConfig(restarts=1))
+    assert res.stop_reason == "grad-tol"
+    assert res.n_iter <= 18
+    assert res.loss <= FISHER_LOSS_SEED1 + 1e-12
+
+
+def fisher_direction(theta, grad, obj):
+    """The population-Hessian preconditioned direction, written out."""
+    theta_n = ProductPoint(theta.point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
+    dB = calculus.inv_hessian_star_B(theta_n, grad.B).scaled(-1.0)
+    lam_n = theta_n.lam
+    return dB, -np.minimum(((1.0 + lam_n) / lam_n) ** 2, 1e4) * grad.zeta
+
+
+FUNCTIONAL = small_functional(n=40, seed=13)
+
+
+def regime_objective(regime, M, r, seed):
+    """An objective of the regime with its (M, r); curve data is fixed at M=5, r=2."""
+    if regime == "matrix":
+        S = spiked_sample_cov(M, r, 200, seed)
+        return objective(Dataset.matrix(S, 200), None, 1.0), M, r
+    basis, data, _ = FUNCTIONAL
+    return objective(data, basis, 0.3), basis.M, 2
+
+
+def flat_tangent(point, seed, scale=1.0):
+    U = random_tangent(point, seed, scale)
+    dz = np.random.default_rng(seed + 1).standard_normal(point.shape[1])
+    return optimizer.CurvatureMemory.flat(U.A, U.C, scale * dz)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(regime=st.sampled_from(["matrix", "functional"]), M=st.integers(5, 9),
+       r=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_empty_memory_gives_the_fisher_direction_bit_for_bit(regime, M, r, seed):
+    obj, M, r = regime_objective(regime, M, r, seed)
+    theta = random_product_point(M, r, seed)
+    grad = obj.grad(theta)
+    dB, dz = fisher_direction(theta, grad, obj)
+    for memory in (None, optimizer.CurvatureMemory(5, M, r)):
+        d = optimizer._direction(theta, grad, obj, True, memory)
+        assert np.array_equal(d.U.A, dB.A) and np.array_equal(d.U.C, dB.C)
+        assert np.array_equal(d.dzeta, dz)
+
+
+def filled_memory(point, k, seed):
+    """A memory holding k random pairs with y^T s > 0 at `point`."""
+    M, r = point.shape
+    memory = optimizer.CurvatureMemory(optimizer.CURVATURE_PAIRS, M, r)
+    for i in range(k):
+        s = flat_tangent(point, seed + 2 * i)
+        y = flat_tangent(point, seed + 2 * i + 1)
+        y = y if (memory.weight * y) @ s > 0.0 else -y
+        memory.add(s, y)
+    return memory
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(M=st.integers(4, 9), r=st.integers(1, 3), k=st.integers(1, 7),
+       seed=st.integers(0, 2**16), degenerate=st.booleans())
+def test_two_loop_direction_descends_and_meets_the_secant_equation(M, r, k, seed, degenerate):
+    obj, M, r = regime_objective("matrix", M, r, seed)
+    theta = random_product_point(M, r, seed)
+    if degenerate:  # tied eigenvalues: H0 falls back to the identity
+        theta = ProductPoint(theta.point, np.zeros(r) if r > 1 else np.array([-30.0]))
+        with pytest.raises(calculus.NearDegenerateError):
+            calculus.inv_hessian_star_B(theta, random_tangent(theta.point, seed))
+    memory = filled_memory(theta.point, k, seed)
+    assert len(memory) == min(k, optimizer.CURVATURE_PAIRS)
+    g = flat_tangent(theta.point, seed + 1000)
+    gA, gC, gz = memory.split(g)
+    grad = calculus.GradPair(B=stiefel.TangentVector(theta.point, gA, gC), zeta=gz.copy())
+    d = optimizer._direction(theta, grad, obj, True, memory)
+    assert stiefel.product_inner(grad.tangent(), d) < 0.0
+    # the two-loop operator maps the newest y to the newest s
+    yA, yC, yz = memory.split(memory.Y[-1])
+    y_grad = calculus.GradPair(B=stiefel.TangentVector(theta.point, yA, yC), zeta=yz.copy())
+    d_y = optimizer._direction(theta, y_grad, obj, True, memory)
+    s_row = memory.flat(d_y.U.A, d_y.U.C, d_y.dzeta)
+    assert np.allclose(-s_row, memory.S[-1], rtol=1e-8, atol=1e-8 * np.abs(memory.S[-1]).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(M=st.integers(4, 9), r=st.integers(1, 3), k=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_pair_without_positive_curvature_leaves_memory_unchanged(M, r, k, seed):
+    point = random_orthonormal(M, r, seed)
+    memory = filled_memory(point, k, seed)
+    before = (memory.S.copy(), memory.Y.copy(), memory.rho.copy())
+    s = flat_tangent(point, seed + 500)
+    for y in (-s, np.zeros_like(s)):  # y^T s < 0 and y^T s = 0
+        memory.add(s, y)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (memory.S, memory.Y, memory.rho)))
+
+
+def test_memory_moves_with_the_base_point():
+    # after a step every stored pair is tangent at the new frame, and the
+    # pending step becomes the newest pair, with y the gradient difference
+    theta = random_product_point(7, 3, 21)
+    memory = filled_memory(theta.point, 2, 21)
+    dz = np.array([1.0, -0.5, 0.25])
+    step_dir = stiefel.ProductTangent(random_tangent(theta.point, 5), dz)
+    zero = stiefel.TangentVector(theta.point, np.zeros((3, 3)), np.zeros((7, 3)))
+    memory.remember(theta.point.B, 0.1, step_dir, calculus.GradPair(B=zero, zeta=np.zeros(3)))
+    new = stiefel.product_exp(theta, step_dir, 0.1)
+    # a gradient along the step makes y^T s > 0
+    g_new = calculus.GradPair(B=stiefel.tangent_project(new.point, step_dir.U.full()), zeta=dz)
+    memory.observe(new.point.B, g_new)
+    assert len(memory) == 3 and memory.pending is None
+    for row in np.vstack((memory.S, memory.Y)):
+        A, C, _ = memory.split(row)
+        assert np.array_equal(A, -A.T)
+        assert np.max(np.abs(new.point.B.T @ C)) < 1e-12
+    assert np.array_equal(memory.split(memory.S[-1])[2], 0.1 * dz)
+    assert np.array_equal(memory.split(memory.Y[-1])[2], dz)
+
+
+def test_matrix_objective_keeps_no_curvature_pairs():
+    S = spiked_sample_cov(8, 2, 300, seed=8)
+    assert objective(Dataset.matrix(S, 300), None, 1.0).curvature_pairs == 0
+    basis, data, _ = FUNCTIONAL
+    assert objective(data, basis, 0.3).curvature_pairs == optimizer.CURVATURE_PAIRS
 
 
 def test_fit_is_deterministic():
