@@ -2,7 +2,7 @@
 and spiked covariance matrices, by geodesic descent on the product of a
 Stiefel manifold and a log-eigenvalue space."""
 
-from .bspline import OrthoBasis, design_matrix, eval_basis, make_basis, project_function
+from .bspline import OrthoBasis, eval_basis, make_basis, project_function
 from .calculus import (
     GradPair,
     NearDegenerateError,

@@ -113,11 +113,6 @@ def eval_basis(basis: OrthoBasis, t) -> np.ndarray:
     return _raw_design(basis.knots, t) @ basis.gram_inv_sqrt
 
 
-def design_matrix(basis: OrthoBasis, times) -> np.ndarray:
-    """M x m design matrix with columns phi(t_j) for one observed curve."""
-    return eval_basis(basis, times).T
-
-
 def project_function(basis: OrthoBasis, f) -> np.ndarray:
     """Coefficients of the L2 projection of f onto the orthonormal basis.
 

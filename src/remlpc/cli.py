@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcase, optimizer, sim
 from .bspline import eval_basis, make_basis
-from .model import CurveData, Dataset, ModelParams, matrix_loss
+from .model import Dataset, ModelParams, matrix_loss
 
 EXIT_OK = 0
 EXIT_NOCONV = 2
@@ -67,19 +67,19 @@ def _require_file(path: str) -> None:
 def read_curves_csv(path: str) -> Dataset:
     """Functional data CSV with header curve_id,t,y; curves keep file order."""
     _require_file(path)
-    order = []
-    groups: dict[str, list[tuple[float, float]]] = {}
+    codes: dict[str, int] = {}
+    curve, ts, ys = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["curve_id", "t", "y"]:
             raise DataFormatError(f"{path}: expected header 'curve_id,t,y', got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the file line, also past quoted line breaks
             if not row:
                 continue
             if len(row) != 3:
                 raise DataFormatError(f"{path}: row {lineno}: expected 3 fields, got {len(row)}")
-            cid = row[0]
             try:
                 t = float(row[1])
                 y = float(row[2])
@@ -89,28 +89,21 @@ def read_curves_csv(path: str) -> Dataset:
                 raise DataFormatError(f"{path}: row {lineno}: non-finite t or y")
             if not 0.0 <= t <= 1.0:
                 raise DataFormatError(f"{path}: row {lineno}: t={row[1]} outside [0, 1]")
-            if cid not in groups:
-                groups[cid] = []
-                order.append(cid)
-            groups[cid].append((t, y))
-    if not order:
+            curve.append(codes.setdefault(row[0], len(codes)))
+            ts.append(t)
+            ys.append(y)
+    if not codes:
         raise DataFormatError(f"{path}: no data rows")
-    curves = [
-        CurveData(
-            times=np.array([p[0] for p in groups[cid]]),
-            values=np.array([p[1] for p in groups[cid]]),
-        )
-        for cid in order
-    ]
-    return Dataset.functional("sparse", curves)
+    # curves in order of first appearance, rows in file order within each
+    order = np.argsort(curve, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(curve))])
+    return Dataset("sparse", np.array(ts)[order], np.array(ys)[order], offsets)
 
 
 def write_curves_csv(path: str, data: Dataset) -> None:
-    lines = ["curve_id,t,y"]
-    for i, c in enumerate(data.curves):
-        for t, y in zip(c.times, c.values):
-            lines.append(f"{i},{_fmt(t)},{_fmt(y)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    curve = np.repeat(np.arange(data.n), np.diff(data.offsets))
+    rows = zip(curve.tolist(), data.t.tolist(), data.y.tolist())
+    _atomic_write(path, _csv_text(["curve_id", "t", "y"], rows, []))
 
 
 def _sidecar(path: str) -> str:
@@ -325,7 +318,7 @@ def _cmd_fit(args) -> int:
     else:
         data = read_curves_csv(args.data)
         if args.regime == "dense":
-            data = Dataset.functional("dense", data.curves)
+            data = dataclasses.replace(data, regime="dense")
         if args.M is None:
             raise UsageError("functional regimes require --M")
         basis = make_basis(args.M)

@@ -96,24 +96,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CurveData:
-    """One sparsely observed curve: design points and noisy values."""
+    """One curve's design points and values; Dataset.curves hands out views."""
 
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        y = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != y.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if t.size < 1:
-            raise ValueError("a curve needs at least one observation")
-        if not (np.isfinite(t).all() and np.isfinite(y).all()):
-            raise ValueError("design points and values must be finite")
-        if t.min() < 0.0 or t.max() > 1.0:
-            raise ValueError("design points must lie in [0, 1]")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", y)
 
     @property
     def m(self) -> int:
@@ -122,10 +108,13 @@ class CurveData:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed data for one fit: a curve collection or a sample covariance."""
+    """Observed data for one fit: a sample covariance, or curves as flat
+    columns t and y with curve i in rows offsets[i]:offsets[i + 1]."""
 
     regime: str
-    curves: tuple[CurveData, ...] | None = None
+    t: np.ndarray | None = field(default=None, repr=False)
+    y: np.ndarray | None = field(default=None, repr=False)
+    offsets: np.ndarray | None = field(default=None, repr=False)
     cov: np.ndarray | None = field(default=None, repr=False)
     n_samples: int | None = None
 
@@ -147,20 +136,44 @@ class Dataset:
             if np.linalg.eigvalsh(S).min() < -1e-10:
                 raise ValueError("sample covariance is not positive semidefinite")
             object.__setattr__(self, "cov", S)
-        else:
-            if not self.curves:
-                raise ValueError("functional regimes need at least one curve")
-            object.__setattr__(self, "curves", tuple(self.curves))
+            return
+        if self.offsets is None or len(self.offsets) < 2:
+            raise ValueError("functional regimes need at least one curve")
+        t = np.asarray(self.t, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=np.intp)
+        if t.ndim != 1 or t.shape != y.shape or offsets[0] != 0 or offsets[-1] != t.size:
+            raise ValueError("t and y must be 1-d columns of equal length, split by offsets")
+        if (np.diff(offsets) < 1).any():
+            raise ValueError("a curve needs at least one observation")
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValueError("design points and values must be finite")
+        if t.min() < 0.0 or t.max() > 1.0:
+            raise ValueError("design points must lie in [0, 1]")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def n(self) -> int:
         if self.regime == "matrix":
             return int(self.n_samples)
-        return len(self.curves)
+        return self.offsets.size - 1
+
+    @property
+    def curves(self) -> tuple[CurveData, ...]:
+        """Each curve as views into the t and y columns."""
+        cuts = self.offsets[1:-1]
+        return tuple(map(CurveData, np.split(self.t, cuts), np.split(self.y, cuts)))
 
     @staticmethod
     def functional(regime: str, curves: Sequence[CurveData]) -> "Dataset":
-        return Dataset(regime=regime, curves=tuple(curves))
+        """Stack per-curve times and values, in order, into the flat columns."""
+        if any(np.ndim(c.times) != 1 or np.shape(c.times) != np.shape(c.values) for c in curves):
+            raise ValueError("times and values must be 1-d arrays of equal length")
+        t = np.concatenate([np.empty(0), *(c.times for c in curves)])
+        y = np.concatenate([np.empty(0), *(c.values for c in curves)])
+        return Dataset(regime, t, y, np.cumsum([0, *(np.size(c.times) for c in curves)]))
 
     @staticmethod
     def matrix(cov: np.ndarray, n_samples: int) -> "Dataset":
@@ -190,19 +203,19 @@ class CurveBatches:
 
 
 def curve_batches(data: Dataset, basis: OrthoBasis) -> CurveBatches:
+    """Group the curves by m, ascending, keeping curve order within a group."""
     if data.regime == "matrix":
         raise ValueError("curve batches are only defined for functional regimes")
-    sizes = {}
-    for i, c in enumerate(data.curves):
-        sizes.setdefault(c.m, []).append(i)
+    counts = np.diff(data.offsets)
+    order = np.argsort(counts, kind="stable")
+    edges = np.flatnonzero(np.diff(counts[order])) + 1
     groups = []
-    for m in sorted(sizes):
-        idx = np.asarray(sizes[m], dtype=int)
-        t_flat = np.concatenate([data.curves[i].times for i in idx])
-        Phi = eval_basis(basis, t_flat).reshape(idx.size, m, basis.M)
-        y = np.stack([data.curves[i].values for i in idx])
-        groups.append((idx, Phi, y))
-    return CurveBatches(n=len(data.curves), groups=tuple(groups))
+    for idx in np.split(order, edges):
+        m = int(counts[idx[0]])
+        rows = data.offsets[idx, None] + np.arange(m)
+        Phi = eval_basis(basis, data.t[rows.ravel()]).reshape(idx.size, m, basis.M)
+        groups.append((idx, Phi, data.y[rows]))
+    return CurveBatches(n=data.n, groups=tuple(groups))
 
 
 def marginal_cov(params: ModelParams, Phi: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 from . import matrixcase, optimizer
 from .bspline import OrthoBasis, eval_basis, make_basis
 from .model import (
-    CurveData,
     Dataset,
     ModelParams,
     TrueKernel,
@@ -102,6 +101,12 @@ def sample_dataset(
     count).  The matrix regime needs a ModelParams truth and returns the
     sample covariance of n Gaussian vectors.
     """
+    if regime == "sparse" and not (
+        m_bounds is not None and len(m_bounds) == 2 and 1 <= m_bounds[0] <= m_bounds[1]
+    ):
+        raise ValueError(f"sparse regime needs m_bounds (low, high), 1 <= low <= high, got {m_bounds}")
+    if regime == "dense" and (m is None or m < 1):
+        raise ValueError(f"dense regime needs m >= 1, got {m}")
     rng = _rng(*seed_counters)
     if regime == "matrix":
         if not isinstance(truth, ModelParams):
@@ -114,33 +119,24 @@ def sample_dataset(
     if not isinstance(truth, TrueKernel):
         raise ValueError("functional regimes need a TrueKernel truth")
     if regime == "sparse":
-        if m_bounds is None:
-            raise ValueError("sparse regime needs m_bounds")
         counts = rng.integers(m_bounds[0], m_bounds[1] + 1, size=n)
     elif regime == "dense":
-        if m is None:
-            raise ValueError("dense regime needs m")
         counts = np.full(n, m, dtype=int)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    root_lam = np.sqrt(truth.eigenvalues)
-    draws = []
-    for i in range(n):
-        mi = int(counts[i])
-        t = rng.uniform(0.0, 1.0, mi)
-        xi = rng.standard_normal(truth.rank)
-        eps = rng.standard_normal(mi)
-        draws.append((t, xi, eps))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    t, eps = np.empty(offsets[-1]), np.empty(offsets[-1])
+    xi = np.empty((n, truth.rank))
+    bounds = list(enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())))
+    for i, (a, b) in bounds:
+        t[a:b] = rng.uniform(0.0, 1.0, b - a)
+        xi[i] = rng.standard_normal(truth.rank)
+        eps[a:b] = rng.standard_normal(b - a)
     # one vectorized eigenfunction sweep over the pooled design points
-    t_all = np.concatenate([d[0] for d in draws])
-    F_all = np.stack([f(t_all) for f in truth.eigenfunctions], axis=1)
-    offsets = np.cumsum([0] + [d[0].size for d in draws])
-    curves = []
-    for i, (t, xi, eps) in enumerate(draws):
-        F = F_all[offsets[i] : offsets[i + 1]]
-        y = F @ (root_lam * xi) + np.sqrt(sigma2) * eps
-        curves.append(CurveData(times=t, values=y))
-    return Dataset.functional(regime, curves)
+    F = np.stack([f(t) for f in truth.eigenfunctions], axis=1)
+    scores = np.sqrt(truth.eigenvalues) * xi
+    signal = np.concatenate([np.empty(0), *(F[a:b] @ scores[i] for i, (a, b) in bounds)])
+    return Dataset(regime, t, signal + np.sqrt(sigma2) * eps, offsets)
 
 
 @dataclass(frozen=True)

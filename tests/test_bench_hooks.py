@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import spiked_sample_cov
-from remlpc import make_basis, matrixcase, optimizer, sim
+from remlpc import cli, make_basis, matrixcase, optimizer, sim
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -23,7 +23,7 @@ def load_tracer():
     return module
 
 
-def traced_layers(run) -> Counter:
+def traced_spans(run) -> list[tuple]:
     tracer_mod = load_tracer()
     assert tracer_mod.absent_layers() == []
     tracer = tracer_mod.Tracer()
@@ -33,7 +33,11 @@ def traced_layers(run) -> Counter:
     finally:
         tracer.uninstall()
     tracer_mod.assert_unwrapped()
-    return Counter(span[2] for span in tracer.spans)
+    return tracer.spans
+
+
+def traced_layers(run) -> Counter:
+    return Counter(span[2] for span in traced_spans(run))
 
 
 def test_sparse_fit_reaches_every_hook():
@@ -65,3 +69,19 @@ def test_rate_experiment_reaches_every_hook():
     for layer in ("sim.rate_experiment", "sim.sample_dataset", "sim.optimal_parameter",
                   "sim.kernel_l2_distance", "optimizer.fit"):
         assert calls[layer] > 0, layer
+
+
+def test_cli_fit_reaches_the_csv_hook(tmp_path, capsys):
+    truth = sim.make_true_kernel("fourier", [2.0, 1.0], seed=1)
+    data = sim.sample_dataset(truth, "sparse", 40, (1, 40, 0), sigma2=0.25, m_bounds=(3, 6))
+    path = tmp_path / "curves.csv"
+    cli.write_curves_csv(str(path), data)
+    data_rows = len(path.read_text().splitlines()) - 1
+    # called as perfbench/workloads.py calls it
+    spans = traced_spans(lambda: cli.main(["fit", "--data", str(path), "--M", "5", "--r", "2",
+                                           "--sigma2", "0.25", "--max-iter", "5"]))
+    reads = [span for span in spans if span[2] == "cli.read_curves_csv"]
+    assert len(reads) == 1
+    # the _rows extra, which counts rows through result.curves
+    assert reads[0][5] == data_rows
+    capsys.readouterr()

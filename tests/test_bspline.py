@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from remlpc.bspline import OrthoBasis, design_matrix, eval_basis, make_basis, project_function
+from remlpc.bspline import OrthoBasis, eval_basis, make_basis, project_function
 
 
 def raw_bspline_design(basis, t):
@@ -92,12 +92,6 @@ def test_eval_matches_scipy_oracle():
     t = np.linspace(0.0, 1.0, 257)
     D = raw_bspline_design(b, t)
     assert np.max(np.abs(D @ b.gram_inv_sqrt - eval_basis(b, t))) < 1e-13
-
-
-def test_design_matrix_is_transposed_eval():
-    b = make_basis(5)
-    t = np.array([0.0, 0.31, 0.77, 1.0])
-    assert np.array_equal(design_matrix(b, t), eval_basis(b, t).T)
 
 
 def test_eval_rejects_out_of_domain():

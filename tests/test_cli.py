@@ -134,6 +134,47 @@ def test_nonfinite_rows_exit_65_with_row_number(tmp_path, capsys):
         assert "row 3: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("a,0.5", "expected 3 fields, got 2"),
+    ("a,oops,2.0", "non-numeric t or y"),
+    ("a,0.5,inf", "non-finite t or y"),
+    ("a,1.5,2.0", "t=1.5 outside [0, 1]"),
+])
+def test_bad_row_is_named_by_its_file_line(tmp_path, capsys, bad, message):
+    # blank lines and interleaved curve ids come first: the bad row is line 8
+    # of the file but only the fifth data row
+    p = tmp_path / "c.csv"
+    p.write_text(f"curve_id,t,y\n\na,0.1,1.0\n\nb,0.2,2.0\na,0.3,3.0\n\n{bad}\nb,0.4,4.0\n")
+    assert cli.main(["fit", "--data", str(p), "--M", "4", "--r", "1",
+                     "--sigma2", "0.25"]) == 65
+    assert f"row 8: {message}" in capsys.readouterr().err
+    # a quoted curve id that spans two lines moves the bad row to line 9
+    p.write_text(f'curve_id,t,y\n\na,0.1,1.0\n\n"b\nb",0.2,2.0\na,0.3,3.0\n\n{bad}\n')
+    assert cli.main(["fit", "--data", str(p), "--M", "4", "--r", "1",
+                     "--sigma2", "0.25"]) == 65
+    assert f"row 9: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", ["sparse", "dense"])
+def test_fit_from_csv_builds_no_per_curve_objects(tmp_path, curves_file, monkeypatch, capsys,
+                                                  regime):
+    path, data = curves_file
+    made = []
+    init = CurveData.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveData, "__init__", counting_init)
+    rc = cli.main(["fit", "--data", str(path), "--M", "4", "--r", "2", "--sigma2", "0.25",
+                   "--regime", regime, "--out", str(tmp_path / "fit.json")])
+    assert rc in (0, 2) and made == []
+    # the counter sees the per-curve views that Dataset.curves hands out
+    assert len(cli.read_curves_csv(str(path)).curves) == len(made) == data.n
+    capsys.readouterr()
+
+
 def test_nonconvergence_exits_2_but_writes(tmp_path, curves_file, capsys):
     path, _ = curves_file
     out = tmp_path / "fit.json"
@@ -257,6 +298,26 @@ def test_fit_without_pairs_exits_65(tmp_path, capsys):
     assert cli.main(["fit", "--data", str(p), "--M", "4", "--r", "3",
                      "--sigma2", "0.25"]) == 65
     assert "no curve has two or more observations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, design, field", [
+    ("simulate", {"m_bounds": [0, 12]}, "m_bounds"),
+    ("simulate", {"m_bounds": [5, 3]}, "m_bounds"),
+    ("simulate", {"regime": "dense", "m": 0}, "needs m >= 1"),
+    ("rates", {"m_bounds": [0, 12]}, "m_bounds"),
+    ("rates", {"m_bounds": [-1, 2]}, "m_bounds"),
+])
+def test_bad_curve_sizes_exit_65(tmp_path, capsys, verb, design, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "regime": "sparse", "n": 4, "n_grid": [16, 32], "replicates": 1, "r": 1,
+        "m_bounds": [2, 4], "truth": {"family": "fourier", "eigenvalues": [1.0]}, **design,
+    }))
+    out = tmp_path / "out.csv"
+    assert cli.main([verb, "--config", str(cfg), "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert str(cfg) in err and field in err
+    assert not out.exists()
 
 
 def test_kl_scan_verb_and_alpha_guard(tmp_path, cov_file, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_orthonormal, random_product_point, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
@@ -145,18 +145,78 @@ def test_matrix_dataset_validation():
 
 
 def test_functional_dataset_validation():
+    def one_curve(t, y):
+        return Dataset.functional("sparse", [CurveData(times=np.array(t), values=np.array(y))])
+
     c = [CurveData(times=np.array([0.1, 0.5]), values=np.array([1.0, 2.0]))]
     d = Dataset.functional("sparse", c)
     assert d.n == 1 and d.curves[0].m == 2
     with pytest.raises(ValueError):
         Dataset.functional("matrix", c)
     with pytest.raises(ValueError):
-        CurveData(times=np.array([0.1]), values=np.array([1.0, 2.0]))
+        one_curve([0.1], [1.0, 2.0])
     with pytest.raises(ValueError):
-        CurveData(times=np.array([1.2]), values=np.array([0.0]))
+        one_curve([1.2], [0.0])
     for t, y in (([np.nan, 0.5], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf])):
         with pytest.raises(ValueError, match="finite"):
-            CurveData(times=np.array(t), values=np.array(y))
+            one_curve(t, y)
+
+
+def test_dataset_validates_its_columns():
+    t, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0])
+    assert Dataset(regime="dense", t=t, y=y, offsets=[0, 1, 3]).n == 2
+    with pytest.raises(ValueError, match="at least one curve"):
+        Dataset.functional("sparse", [])
+    with pytest.raises(ValueError, match="a curve needs at least one observation"):
+        Dataset(regime="sparse", t=t, y=y, offsets=[0, 1, 1, 3])
+    for offsets in ([0, 2], [1, 3]):
+        with pytest.raises(ValueError, match="split by offsets"):
+            Dataset(regime="sparse", t=t, y=y, offsets=offsets)
+    with pytest.raises(ValueError, match="equal length"):
+        Dataset(regime="sparse", t=t, y=y[:2], offsets=[0, 3])
+    with pytest.raises(ValueError, match="design points must lie"):
+        Dataset(regime="sparse", t=[0.1, 0.2, 1.5], y=y, offsets=[0, 1, 3])
+    with pytest.raises(ValueError, match="design points and values must be finite"):
+        Dataset(regime="sparse", t=t, y=[1.0, np.nan, 3.0], offsets=[0, 2, 3])
+
+
+def curve_batches_reference(data, basis):
+    """Per-curve grouping loop: curves by m ascending, file order within a group."""
+    sizes = {}
+    for i, c in enumerate(data.curves):
+        sizes.setdefault(c.m, []).append(i)
+    groups = []
+    for m in sorted(sizes):
+        idx = np.asarray(sizes[m], dtype=int)
+        t_flat = np.concatenate([data.curves[i].times for i in idx])
+        Phi = eval_basis(basis, t_flat).reshape(idx.size, m, basis.M)
+        y = np.stack([data.curves[i].values for i in idx])
+        groups.append((idx, Phi, y))
+    return groups
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@example(counts=[3, 1, 2, 1, 5, 2], M=5, seed=0)
+@given(counts=st.lists(st.integers(1, 7), min_size=1, max_size=40),
+       M=st.integers(4, 8), seed=st.integers(0, 2**16))
+def test_columnar_batches_match_the_per_curve_loop(counts, M, seed):
+    rng = np.random.default_rng(seed)
+    curves = [CurveData(times=rng.uniform(0.0, 1.0, m), values=rng.standard_normal(m))
+              for m in counts]
+    data = Dataset.functional("sparse", curves)
+    assert len(data.curves) == len(curves)
+    for view, c in zip(data.curves, curves):
+        assert same_bits(view.times, c.times) and same_bits(view.values, c.values)
+    basis = make_basis(M)
+    batches = curve_batches(data, basis)
+    reference = curve_batches_reference(data, basis)
+    assert batches.n == len(counts) and len(batches.groups) == len(reference)
+    for (idx, Phi, y), (idx_r, Phi_r, y_r) in zip(batches.groups, reference):
+        assert same_bits(idx, idx_r) and same_bits(Phi, Phi_r) and same_bits(y, y_r)
 
 
 def test_curve_batches_group_and_restore_order():

@@ -74,6 +74,18 @@ def test_sparse_regime_needs_bounds():
         sample_dataset(truth, "dense", 5, (0, 5, 0))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_bad_curve_sizes_fail_before_any_draw(seed):
+    # (0, 12) once passed at some seeds and failed at others, depending on
+    # whether a zero count was drawn
+    truth = make_true_kernel("fourier", [1.0], seed=4)
+    for bounds in ((0, 12), (5, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="m_bounds"):
+            sample_dataset(truth, "sparse", 4, (seed, 4, 0), m_bounds=bounds)
+    with pytest.raises(ValueError, match="needs m >= 1"):
+        sample_dataset(truth, "dense", 4, (seed, 4, 0), m=0)
+
+
 def test_basis_dimension_schedules():
     assert schedule_M({"kind": "fixed", "M": 10}, 999) == 10
     # slow growth with a floor at the cubic minimum
