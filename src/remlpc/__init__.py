@@ -4,7 +4,6 @@ Stiefel manifold and a log-eigenvalue space."""
 
 from .bspline import OrthoBasis, eval_basis, make_basis, project_function
 from .calculus import (
-    GradPair,
     NearDegenerateError,
     grad_B,
     grad_zeta,
@@ -51,7 +50,6 @@ from .stiefel import (
     intrinsic_grad,
     product_inner,
     skew_exp,
-    split_tangent,
     tangent_project,
 )
 

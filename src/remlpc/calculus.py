@@ -12,8 +12,6 @@ frame part is returned already projected to the tangent space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import CurveBatches, curve_factors, lower_solve
@@ -23,8 +21,6 @@ from .stiefel import (
     StiefelPoint,
     TangentVector,
     intrinsic_grad,
-    product_inner,
-    split_tangent,
 )
 
 GAP_TOL = 1e-8
@@ -40,21 +36,27 @@ def rescaled(theta: ProductPoint, Stilde: np.ndarray, sigma2: float, s: float):
     return ProductPoint(theta.point, theta.zeta + shift), Stilde / sigma2
 
 
+def _frame_grad(point: StiefelPoint, SB: np.ndarray, w: np.ndarray) -> TangentVector:
+    """The tangent 2 (B diag(w) B^T S~ B - S~ B diag(w)), built from its blocks.
+
+    Its skew block is 2 (w_i - w_j) (B^T S~ B)_ij and its normal block is
+    that of -2 S~ B diag(w).
+    """
+    BtSB = point.B.T @ SB
+    return TangentVector(point, 2.0 * (w[:, None] * BtSB - BtSB * w), -2.0 * SB * w)
+
+
 def grad_B_scaled(theta_n: ProductPoint, SB: np.ndarray) -> TangentVector:
     """Frame gradient of the normalized loss from the product SB = S~ B.
 
     theta_n and S~ are on the normalized scale (see `rescaled`); a caller
     that evaluates one problem at many points rescales S once and shares
     each point's SB between this and `grad_zeta_scaled`.  The closed form
-    is already tangent (it equals F - B F^T B for the Euclidean derivative
-    F = -2 S~ B Q^{-1}), so it is split rather than re-projected.
+    is the canonical gradient F - B F^T B of the Euclidean derivative
+    F = -2 S~ B Q^{-1}, whose skew and normal blocks it builds directly.
     """
-    B = theta_n.point.B
     lam = theta_n.lam
-    q = lam / (1.0 + lam)
-    G = 2.0 * (B @ (q[:, None] * (B.T @ SB)) - SB * q)
-    A, C = split_tangent(theta_n.point, G)
-    return TangentVector(theta_n.point, A, C)
+    return _frame_grad(theta_n.point, SB, lam / (1.0 + lam))
 
 
 def grad_zeta_scaled(theta_n: ProductPoint, SB: np.ndarray) -> np.ndarray:
@@ -74,13 +76,6 @@ def grad_zeta(theta: ProductPoint, Stilde: np.ndarray) -> np.ndarray:
     return grad_zeta_scaled(theta, Stilde @ theta.point.B)
 
 
-def _euclidean_pieces(theta: ProductPoint, Stilde: np.ndarray):
-    B = theta.point.B
-    q = theta.lam / (1.0 + theta.lam)
-    F1 = -2.0 * (Stilde @ B) * q
-    return B, q, F1
-
-
 def hessian_B_bilinear(
     theta: ProductPoint, Stilde: np.ndarray, X: TangentVector, Y: TangentVector
 ) -> float:
@@ -89,7 +84,9 @@ def hessian_B_bilinear(
     Equals d^2/dt^2 of the loss along the canonical geodesic with
     velocity X (polarized in X, Y).
     """
-    B, q, F1 = _euclidean_pieces(theta, Stilde)
+    B = theta.point.B
+    q = theta.lam / (1.0 + theta.lam)
+    F1 = -2.0 * (Stilde @ B) * q
     Xf, Yf = X.full(), Y.full()
     G1X = -2.0 * (Stilde @ Xf) * q
     t1 = np.sum(Yf * G1X)
@@ -118,14 +115,10 @@ def dgrad_B_dzeta(theta: ProductPoint, Stilde: np.ndarray, k: int) -> TangentVec
     At a stationary point this is the (B, zeta) cross block of the
     Hessian, which vanishes at the population optimum.
     """
-    B = theta.point.B
     lam = theta.lam
     dq = np.zeros_like(lam)
     dq[k] = lam[k] / (1.0 + lam[k]) ** 2
-    SB = Stilde @ B
-    G = 2.0 * (B @ (dq[:, None] * (B.T @ SB)) - SB * dq)
-    A, C = split_tangent(theta.point, G)
-    return TangentVector(theta.point, A, C)
+    return _frame_grad(theta.point, Stilde @ theta.point.B, dq)
 
 
 def _check_gaps(lam: np.ndarray) -> None:
@@ -196,25 +189,9 @@ def score_delta(
     return delta_B, delta_lam
 
 
-@dataclass(frozen=True)
-class GradPair:
-    """Gradient of a loss on the product space: frame part plus zeta part."""
-
-    B: TangentVector
-    zeta: np.ndarray
-
-    def tangent(self) -> ProductTangent:
-        return ProductTangent(self.B, self.zeta)
-
-    def norm(self) -> float:
-        """Product-metric norm: canonical on the frame, Euclidean on zeta."""
-        g = self.tangent()
-        return float(np.sqrt(product_inner(g, g)))
-
-
 def grad_functional_raw(
     point: StiefelPoint, lam: np.ndarray, sigma2: float, s: float, batches: CurveBatches
-) -> GradPair:
+) -> ProductTangent:
     """Gradient of the functional-regime loss at frame `point`, eigenvalues `lam`.
 
     The Euclidean frame derivative is averaged over curves and then
@@ -241,4 +218,4 @@ def grad_functional_raw(
         z_acc += np.einsum("gmk,gmk->k", X, WX)
     F = F_acc * lam_eff / n
     gz = z_acc * lam_eff / (2.0 * n)
-    return GradPair(B=intrinsic_grad(point, F), zeta=gz)
+    return ProductTangent(intrinsic_grad(point, F), gz)

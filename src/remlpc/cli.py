@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import matrixcase, optimizer, sim
-from .bspline import eval_basis, make_basis
+from .bspline import OrthoBasis, eval_basis, make_basis
 from .model import Dataset, ModelParams, matrix_loss
 
 EXIT_OK = 0
@@ -251,13 +251,21 @@ def parse(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _basis(M: int) -> OrthoBasis:
+    """The basis of dimension --M; a dimension the basis rejects is a usage error."""
+    try:
+        return make_basis(M)
+    except ValueError as e:
+        raise UsageError(f"--M: {e}") from None
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
 
 
 def _cmd_basis(args) -> int:
-    basis = make_basis(args.M)
+    basis = _basis(args.M)
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
     t = np.linspace(0.0, 1.0, args.grid)
@@ -321,7 +329,7 @@ def _cmd_fit(args) -> int:
             data = dataclasses.replace(data, regime="dense")
         if args.M is None:
             raise UsageError("functional regimes require --M")
-        basis = make_basis(args.M)
+        basis = _basis(args.M)
     seed = 0 if args.seed is None else args.seed
     config = optimizer.FitConfig(
         max_iter=args.max_iter,
@@ -431,7 +439,13 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    basis = make_basis(args.M)
+    basis = _basis(args.M)
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.m < 1:
+        raise UsageError(f"--m must be at least 1, got {args.m}")
+    if not 0 <= args.r <= args.M:
+        raise UsageError(f"--r must be in [0, {args.M}], got {args.r}")
     seed = 0 if args.seed is None else args.seed
     B = None
     if args.r > 0:

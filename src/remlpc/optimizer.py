@@ -180,7 +180,7 @@ class FunctionalObjective:
     def loss(self, theta: ProductPoint) -> float:
         return model.functional_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.batches)
 
-    def grad(self, theta: ProductPoint) -> calculus.GradPair:
+    def grad(self, theta: ProductPoint) -> ProductTangent:
         return calculus.grad_functional_raw(
             theta.point, theta.lam, self.sigma2, self.s, self.batches
         )
@@ -219,12 +219,11 @@ class MatrixObjective:
     def loss(self, theta: ProductPoint) -> float:
         return model.matrix_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.S)
 
-    def grad(self, theta: ProductPoint) -> calculus.GradPair:
+    def grad(self, theta: ProductPoint) -> ProductTangent:
         theta_n = ProductPoint(theta.point, theta.zeta + self.shift)
         SB = (self.S @ theta.point.B) / self.sigma2
-        return calculus.GradPair(
-            B=calculus.grad_B_scaled(theta_n, SB),
-            zeta=calculus.grad_zeta_scaled(theta_n, SB),
+        return ProductTangent(
+            calculus.grad_B_scaled(theta_n, SB), calculus.grad_zeta_scaled(theta_n, SB)
         )
 
     def pooled_start(self, r: int):
@@ -285,8 +284,8 @@ class CurvatureMemory:
         return self.rho.size
 
     @staticmethod
-    def flat(A: np.ndarray, C: np.ndarray, dzeta: np.ndarray) -> np.ndarray:
-        return np.concatenate((A.ravel(), C.ravel(), dzeta))
+    def flat(v: ProductTangent) -> np.ndarray:
+        return np.concatenate((v.U.A.ravel(), v.U.C.ravel(), v.dzeta))
 
     def split(self, v: np.ndarray):
         """The (A, C, dzeta) blocks of a flat row, as views."""
@@ -314,12 +313,11 @@ class CurvatureMemory:
         self.Y = np.vstack((self.Y, y))[-self.capacity :]
         self.rho = np.append(self.rho, 1.0 / ys)[-self.capacity :]
 
-    def remember(self, B: np.ndarray, t: float, d: ProductTangent, grad: calculus.GradPair):
+    def remember(self, B: np.ndarray, t: float, d: ProductTangent, grad: ProductTangent):
         """Hold the accepted step t d from frame B until the gradient at its end is known."""
-        s = t * self.flat(d.U.A, d.U.C, d.dzeta)
-        self.pending = (B, s, self.flat(grad.B.A, grad.B.C, grad.zeta))
+        self.pending = (B, t * self.flat(d), self.flat(grad))
 
-    def observe(self, B: np.ndarray, grad: calculus.GradPair) -> None:
+    def observe(self, B: np.ndarray, grad: ProductTangent) -> None:
         """Move the memory to frame B, where the pending step ended, and add its pair."""
         if self.pending is None:
             return
@@ -328,7 +326,7 @@ class CurvatureMemory:
         k = len(self)
         rows = self._transport(np.vstack((self.S, self.Y, s, g_old)), B_old, B)
         self.S, self.Y = rows[:k], rows[k : 2 * k]
-        self.add(rows[2 * k], self.flat(grad.B.A, grad.B.C, grad.zeta) - rows[2 * k + 1])
+        self.add(rows[2 * k], self.flat(grad) - rows[2 * k + 1])
 
 
 def _direction(
@@ -342,11 +340,11 @@ def _direction(
     an empty memory gives the Fisher direction H0 g itself.  Without
     fisher, the plain negative gradient."""
     if not fisher:
-        return grad.tangent().scaled(-1.0)
+        return grad.scaled(-1.0)
     point = theta.point
-    qB, qz = grad.B, grad.zeta
+    qB, qz = grad.U, grad.dzeta
     if memory:  # first loop, newest pair first, on flat rows
-        q = memory.flat(grad.B.A, grad.B.C, grad.zeta)
+        q = memory.flat(grad)
         alpha = np.empty(len(memory))
         for i in reversed(range(len(memory))):
             alpha[i] = memory.rho[i] * ((memory.weight * memory.S[i]) @ q)
@@ -362,7 +360,7 @@ def _direction(
         hB, hz = qB, qz
     hA, hC = hB.A, hB.C
     if memory:  # second loop, oldest pair first
-        h = memory.flat(hA, hC, hz)
+        h = memory.flat(ProductTangent(hB, hz))
         for i in range(len(memory)):
             beta = memory.rho[i] * ((memory.weight * memory.Y[i]) @ h)
             h = h + (alpha[i] - beta) * memory.S[i]
@@ -402,10 +400,9 @@ def step(
     if memory is not None:
         memory.observe(theta.point.B, grad)
     d = _direction(theta, grad, obj, config.fisher, memory)
-    g = grad.tangent()
-    slope = product_inner(g, d)
+    slope = product_inner(grad, d)
     if slope >= 0.0:  # fall back if preconditioning failed to give descent
-        d = g.scaled(-1.0)
+        d = grad.scaled(-1.0)
         slope = -gnorm**2
         if memory is not None:
             memory.clear()

@@ -76,7 +76,13 @@ def _exact_skew(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Tangent U = B A + C at a Stiefel point, with A skew and B^T C = 0."""
+    """Tangent U = B A + C at a Stiefel point, with A skew and B^T C = 0.
+
+    The constructor is the one place a frame tangent is checked: A must be
+    skew to 1e-8 and is then made exactly skew, and C is projected onto
+    the normal space.  So TangentVector(point, B^T G, G) splits an M x r
+    matrix G into its blocks, and rejects a G that is not tangent.
+    """
 
     base: StiefelPoint
     A: np.ndarray = field(repr=False)
@@ -91,8 +97,9 @@ class TangentVector:
             raise ValueError(f"skew block must be {r} x {r}, got {A.shape}")
         if C.shape != (M, r):
             raise ValueError(f"normal block must be {M} x {r}, got {C.shape}")
-        if np.abs(A + A.T).max() > 1e-8:
-            raise ValueError("skew block is not skew-symmetric")
+        defect = np.abs(A + A.T).max()
+        if defect > 1e-8:
+            raise ValueError(f"skew block is not skew-symmetric (defect {defect:.3e})")
         object.__setattr__(self, "A", _exact_skew(A))
         object.__setattr__(self, "C", C - B @ (B.T @ C))
 
@@ -112,26 +119,11 @@ class TangentVector:
         return geodesic_factors(self)
 
 
-def split_tangent(point: StiefelPoint, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an already-tangent matrix U into its skew and normal blocks."""
-    B = point.B
-    A = B.T @ np.asarray(U, dtype=float)
-    sym = 0.5 * np.abs(A + A.T).max()
-    if sym > 1e-8:
-        raise ValueError(f"matrix is not tangent at the base point (defect {sym:.3e})")
-    A = _exact_skew(A)
-    C = U - B @ (B.T @ U)
-    return A, C
-
-
 def tangent_project(point: StiefelPoint, Z: np.ndarray) -> TangentVector:
     """Orthogonal projection of an arbitrary M x r matrix onto the tangent space."""
-    B = point.B
     Z = np.asarray(Z, dtype=float)
-    BtZ = B.T @ Z
-    A = 0.5 * (BtZ - BtZ.T)
-    C = Z - B @ BtZ
-    return TangentVector(point, A, C)
+    BtZ = point.B.T @ Z
+    return TangentVector(point, 0.5 * (BtZ - BtZ.T), Z)
 
 
 def _exp_from_eigh(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
@@ -206,11 +198,10 @@ def canonical_inner(X: TangentVector, Y: TangentVector) -> float:
 
 def intrinsic_grad(point: StiefelPoint, F: np.ndarray) -> TangentVector:
     """Canonical-metric gradient from a Euclidean gradient F: F - B F^T B."""
-    B = point.B
     F = np.asarray(F, dtype=float)
-    G = F - B @ (F.T @ B)
-    A, C = split_tangent(point, G)
-    return TangentVector(point, A, C)
+    BtF = point.B.T @ F
+    # skew block B^T F - F^T B; the normal block is F's, projected by TangentVector
+    return TangentVector(point, BtF - BtF.T, F)
 
 
 @dataclass(frozen=True)
@@ -246,6 +237,10 @@ class ProductTangent:
 
     def scaled(self, c: float) -> "ProductTangent":
         return ProductTangent(self.U.scaled(c), c * self.dzeta)
+
+    def norm(self) -> float:
+        """Product-metric norm: canonical on the frame, Euclidean on zeta."""
+        return float(np.sqrt(product_inner(self, self)))
 
 
 def product_inner(X: ProductTangent, Y: ProductTangent) -> float:

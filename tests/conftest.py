@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 from remlpc.stiefel import ProductPoint, StiefelPoint, TangentVector, tangent_project
+
+# every property test draws the same examples on every run, however long it takes
+settings.register_profile("remlpc", derandomize=True, deadline=None)
+settings.load_profile("remlpc")
 
 
 def random_orthonormal(M, r, seed):

@@ -81,6 +81,23 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["basis", "--M", "3", "--out", "{out}"], "--M"),
+    (["fit", "--data", "{data}", "--M", "3", "--r", "2", "--sigma2", "0.25"], "--M"),
+    (["design-check", "--M", "3", "--m", "5"], "--M"),
+    (["design-check", "--M", "5", "--m", "5", "--n", "0"], "--n"),
+    (["design-check", "--M", "5", "--m", "0"], "--m"),
+    (["design-check", "--M", "4", "--m", "5", "--r", "6"], "--r"),
+], ids=["basis-M", "fit-M", "design-M", "design-n", "design-m", "design-r"])
+def test_out_of_range_flags_exit_64(tmp_path, curves_file, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    argv = [a.format(out=out, data=curves_file[0]) for a in argv]
+    assert cli.main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert not out.exists()
+
+
 def test_missing_file_exits_66(tmp_path, capsys):
     rc = cli.main(["fit", "--data", str(tmp_path / "nope.csv"), "--M", "4",
                    "--r", "1", "--sigma2", "0.25"])

@@ -91,7 +91,7 @@ def test_canonicalize_orders_and_fixes_signs():
     assert np.array_equal(B3, B2) and np.array_equal(lam3, lam2)
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(
     M=st.integers(2, 10),
     data=st.data(),
@@ -199,7 +199,7 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @example(counts=[3, 1, 2, 1, 5, 2], M=5, seed=0)
 @given(counts=st.lists(st.integers(1, 7), min_size=1, max_size=40),
        M=st.integers(4, 8), seed=st.integers(0, 2**16))
@@ -264,7 +264,7 @@ def params_at(theta, sigma2, s):
     return ModelParams(M=M, r=r, B=theta.point, lam=theta.lam, sigma2=sigma2, s=s)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(m_lo=st.integers(1, 4), m_span=st.integers(0, 6), **SIZES)
 def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, seed):
     # data from one random model, the loss evaluated at another
@@ -286,7 +286,7 @@ def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, 
     assert abs(obj.loss(theta) - want) <= 1e-10 * max(1.0, abs(want))
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(**SIZES)
 def test_matrix_loss_matches_dense_formula(M, r, sigma2, s, seed):
     S = spiked_sample_cov(M, r, 300, seed=seed, sigma2=sigma2, s=s)
@@ -305,7 +305,7 @@ def spd_batch(n, r, seed):
     return A.transpose(0, 2, 1) @ A + 1e-3 * np.eye(r)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(n=st.integers(1, 40), r=st.integers(1, 6), seed=st.integers(0, 2**16))
 def test_batched_cholesky_matches_lapack(n, r, seed):
     G = spd_batch(n, r, seed)
