@@ -131,13 +131,15 @@ def read_cov_csv(path: str) -> Dataset:
     if S.size == 0 or S.shape[0] != S.shape[1]:
         raise DataFormatError(f"{path}: expected a square numeric matrix, got {S.shape}")
     side = _sidecar(path)
-    _require_file(side)
-    with open(side) as fh:
-        meta = json.load(fh)
-    if "n" not in meta:
-        raise DataFormatError(f"{side}: missing 'n'")
+    meta = _read_json(side)
     try:
-        return Dataset.matrix(S, int(meta["n"]))
+        n = int(meta["n"])
+    except KeyError:
+        raise DataFormatError(f"{side}: missing 'n'") from None
+    except (TypeError, ValueError):
+        raise DataFormatError(f"{side}: 'n' must be an integer, got {meta['n']!r}") from None
+    try:
+        return Dataset.matrix(S, n)
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
 
@@ -149,12 +151,10 @@ def write_cov_csv(path: str, data: Dataset) -> None:
 
 
 def read_params_json(path: str) -> ModelParams:
-    _require_file(path)
-    with open(path) as fh:
-        d = json.load(fh)
+    d = _read_json(path)
     try:
         return ModelParams.from_dict(d)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         raise DataFormatError(f"{path}: {e}") from None
 
 
@@ -163,12 +163,16 @@ def write_params_json(path: str, params: ModelParams) -> None:
 
 
 def _read_json(path: str) -> dict:
+    """A JSON file whose document is an object; anything else is a data error."""
     _require_file(path)
     with open(path) as fh:
         try:
-            return json.load(fh)
+            d = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(d, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _csv_text(header: list[str], rows: list[list], comments: list[str]) -> str:
@@ -259,6 +263,19 @@ def _basis(M: int) -> OrthoBasis:
         raise UsageError(f"--M: {e}") from None
 
 
+def _positive(args, *names: str) -> None:
+    """Each named float flag must be positive and finite."""
+    for name in names:
+        v = getattr(args, name)
+        if not 0.0 < v < math.inf:
+            raise UsageError(f"--{name} must be positive, got {v}")
+
+
+def _rank(args, M: int) -> None:
+    if not 1 <= args.r <= M:
+        raise UsageError(f"--r must be in [1, {M}], got {args.r}")
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -317,6 +334,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _positive(args, "sigma2", "s")
+    if args.max_iter < 0:
+        raise UsageError(f"--max-iter must be at least 0, got {args.max_iter}")
+    if args.restarts < 1:
+        raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     if args.regime == "matrix":
         data = read_cov_csv(args.data)
         basis = None
@@ -330,6 +352,8 @@ def _cmd_fit(args) -> int:
         if args.M is None:
             raise UsageError("functional regimes require --M")
         basis = _basis(args.M)
+        M = args.M
+    _rank(args, M)
     seed = 0 if args.seed is None else args.seed
     config = optimizer.FitConfig(
         max_iter=args.max_iter,
@@ -353,7 +377,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    _positive(args, "sigma2", "s")
     data = read_cov_csv(args.data)
+    _rank(args, data.cov.shape[0])
     try:
         params = matrixcase.pca_fit(data.cov, args.r, args.sigma2, args.s)
     except ValueError as e:
@@ -415,11 +441,15 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_kl(args) -> int:
-    params = read_params_json(args.params)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a]
     except ValueError:
         raise UsageError(f"bad --alphas value {args.alphas!r}") from None
+    if not alphas or not all(0.0 < a < math.inf for a in alphas):
+        raise UsageError(f"--alphas must be positive numbers, got {args.alphas!r}")
+    if args.directions < 1:
+        raise UsageError(f"--directions must be at least 1, got {args.directions}")
+    params = read_params_json(args.params)
     seed = 0 if args.seed is None else args.seed
     try:
         result = sim.kl_ellipsoid_scan(params, alphas, n_directions=args.directions, seed=seed)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 _ORTH_TOL = 1e-10
 _REPAIR_TOL = 1e-6
@@ -153,20 +152,20 @@ def skew_exp(S: np.ndarray) -> np.ndarray:
 def geodesic_factors(tangent: TangentVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of the geodesic with velocity `tangent` that do not depend on time.
 
-    With C = QR (column-pivoted QR, so a vanishing normal block stays
-    exactly zero) the geodesic (Edelman, Arias & Smith 1998) is
-    B M(t) + Q N(t), where [M; N] are the first r columns of exp(t S)
-    for the 2r x 2r skew block S = [[A, -R^T], [R, 0]].  Returns Q and
-    the eigensystem (w, V) of iS.  `exp_map` calls it once per tangent
-    and caches the result on it.
+    The QR factorization [B C] = [Q1 Q] [[R11, R12], [0, R]] gives an
+    orthonormal Q orthogonal to B, whatever the rank of C, and C = QR
+    because B^T C = 0.  The geodesic (Edelman, Arias & Smith 1998) is
+    B M(t) + Q N(t), where [M; N] are the first r columns of exp(t S) for
+    the k x k skew block S = [[A, -R^T], [R, 0]], k = min(2r, M).
+    Returns Q and the eigensystem (w, V) of iS.  `exp_map` calls it once
+    per tangent and caches the result on it.
     """
-    A, C = tangent.A, tangent.C
+    A = tangent.A
     r = A.shape[0]
-    Q, R, piv = scipy.linalg.qr(C, mode="economic", pivoting=True)
-    inv = np.empty_like(piv)
-    inv[piv] = np.arange(r)
-    R = R[:, inv]
-    S = np.zeros((2 * r, 2 * r))
+    Q, R = np.linalg.qr(np.hstack((tangent.base.B, tangent.C)))
+    Q, R = Q[:, r:], R[r:, r:]
+    k = r + R.shape[0]
+    S = np.zeros((k, k))
     S[:r, :r] = A
     S[:r, r:] = -R.T
     S[r:, :r] = R
@@ -177,8 +176,8 @@ def geodesic_factors(tangent: TangentVector) -> tuple[np.ndarray, np.ndarray, np
 def exp_map(tangent: TangentVector, t: float = 1.0) -> StiefelPoint:
     """Geodesic of the canonical metric from the base point with velocity `tangent`.
 
-    Uses the compact 2r x 2r form of `geodesic_factors`, factored once per
-    tangent; each t then only exponentiates eigenvalues.
+    Uses the compact k x k form of `geodesic_factors` (k = min(2r, M)),
+    factored once per tangent; each t then only exponentiates eigenvalues.
     """
     B = tangent.base.B
     r = B.shape[1]

@@ -1,6 +1,10 @@
 """Command-line interface: file round trips, verbs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -26,6 +30,15 @@ def cov_file(tmp_path):
     path = tmp_path / "cov.csv"
     cli.write_cov_csv(str(path), Dataset.matrix(S, 400))
     return path, S
+
+
+@pytest.fixture
+def params_file(tmp_path, cov_file):
+    from remlpc.matrixcase import pca_fit
+
+    path = tmp_path / "params.json"
+    cli.write_params_json(str(path), pca_fit(cov_file[1], 2))
+    return path
 
 
 # ------------------------------------------------------------ round trips
@@ -88,14 +101,72 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     (["design-check", "--M", "5", "--m", "5", "--n", "0"], "--n"),
     (["design-check", "--M", "5", "--m", "0"], "--m"),
     (["design-check", "--M", "4", "--m", "5", "--r", "6"], "--r"),
-], ids=["basis-M", "fit-M", "design-M", "design-n", "design-m", "design-r"])
-def test_out_of_range_flags_exit_64(tmp_path, curves_file, capsys, argv, flag):
+    (["fit", "--data", "{data}", "--M", "4", "--r", "5", "--sigma2", "0.25",
+      "--out", "{out}"], "--r"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "0", "--sigma2", "0.25",
+      "--out", "{out}"], "--r"),
+    (["fit", "--data", "{cov}", "--regime", "matrix", "--r", "7", "--sigma2", "1",
+      "--out", "{out}"], "--r"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0",
+      "--out", "{out}"], "--sigma2"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25", "--s", "0",
+      "--out", "{out}"], "--s"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25",
+      "--max-iter", "-3", "--out", "{out}"], "--max-iter"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25",
+      "--restarts", "0", "--out", "{out}"], "--restarts"),
+    (["pca", "--data", "{cov}", "--r", "9", "--out", "{out}"], "--r"),
+    (["pca", "--data", "{cov}", "--r", "0", "--out", "{out}"], "--r"),
+    (["pca", "--data", "{cov}", "--r", "2", "--sigma2", "0", "--out", "{out}"], "--sigma2"),
+    (["kl-scan", "--params", "{params}", "--alphas", "0", "--out", "{out}"], "--alphas"),
+    (["kl-scan", "--params", "{params}", "--alphas=-0.001", "--out", "{out}"], "--alphas"),
+    (["kl-scan", "--params", "{params}", "--alphas", ",", "--out", "{out}"], "--alphas"),
+    (["kl-scan", "--params", "{params}", "--alphas", "nan", "--out", "{out}"], "--alphas"),
+    (["kl-scan", "--params", "{params}", "--directions", "0", "--out", "{out}"],
+     "--directions"),
+    (["kl-scan", "--params", "{params}", "--directions", "-2", "--out", "{out}"],
+     "--directions"),
+], ids=["basis-M", "fit-M", "design-M", "design-n", "design-m", "design-r",
+        "fit-r-high", "fit-r-zero", "fit-matrix-r", "fit-sigma2", "fit-s", "fit-max-iter",
+        "fit-restarts", "pca-r-high", "pca-r-zero", "pca-sigma2", "kl-alpha-zero",
+        "kl-alpha-negative", "kl-alpha-empty", "kl-alpha-nan", "kl-directions-zero",
+        "kl-directions-negative"])
+def test_out_of_range_flags_exit_64(tmp_path, curves_file, cov_file, params_file, capsys,
+                                    argv, flag):
     out = tmp_path / "out.csv"
-    argv = [a.format(out=out, data=curves_file[0]) for a in argv]
+    argv = [a.format(out=out, data=curves_file[0], cov=cov_file[0], params=params_file)
+            for a in argv]
     assert cli.main(argv) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target, text", [
+    ("sidecar", "{not json"),
+    ("sidecar", "[1, 2]"),
+    ("sidecar", '{"n": null}'),
+    ("params", "{oops"),
+    ("params", "[1, 2]"),
+    ("params", '{"M": null, "r": 1, "B": [[1.0]], "lambda": [1.0], "sigma2": 1.0}'),
+], ids=["sidecar-syntax", "sidecar-list", "sidecar-null-n", "params-syntax", "params-list",
+        "params-null-field"])
+def test_malformed_json_exits_65_naming_the_file(tmp_path, cov_file, params_file, capsys,
+                                                 target, text):
+    cov, _ = cov_file
+    bad = tmp_path / "cov.json" if target == "sidecar" else params_file
+    bad.write_text(text)
+    out = str(tmp_path / "out.csv")
+    if target == "sidecar":
+        runs = [["pca", "--data", str(cov), "--r", "2", "--out", out],
+                ["fit", "--data", str(cov), "--regime", "matrix", "--r", "2",
+                 "--sigma2", "1", "--out", out]]
+    else:
+        runs = [["kl-scan", "--params", str(params_file), "--out", out]]
+    for argv in runs:
+        assert cli.main(argv) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
 
 
 def test_missing_file_exits_66(tmp_path, capsys):
@@ -358,3 +429,51 @@ def test_design_check_verb(tmp_path, capsys):
                      "--r", "2", "--out", str(out)]) == 0
     assert out.exists()
     capsys.readouterr()
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test-only dependency: with every scipy import refused, the
+    # package still imports, fits curves, certifies a matrix fit against
+    # PCA and runs a CLI verb, and no scipy module is ever loaded
+    script = textwrap.dedent("""
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ImportError(f"scipy is blocked ({name})")
+                return None
+
+        sys.meta_path.insert(0, BlockScipy())
+
+        import numpy as np
+        import remlpc
+        from remlpc import cli, optimizer, sim
+        from remlpc.bspline import make_basis
+        from remlpc.matrixcase import reml_equals_pca
+
+        truth = sim.make_true_kernel("fourier", [2.0, 1.0], seed=1)
+        data = sim.sample_dataset(truth, "sparse", 200, (3, 200, 0), sigma2=0.25,
+                                  m_bounds=(4, 6))
+        res = optimizer.fit(data, make_basis(4), 2, 0.25)
+        assert res.converged, res.stop_reason
+
+        rng = np.random.default_rng(2)
+        B, _ = np.linalg.qr(rng.standard_normal((8, 2)))
+        Y = (rng.standard_normal((500, 2)) * np.sqrt([6.0, 3.0])) @ B.T
+        Y += rng.standard_normal((500, 8))
+        agree = reml_equals_pca(Y.T @ Y / 500, 500, 2)
+        assert agree.frame_distance < 1e-6, agree
+
+        assert cli.main(["--quiet", "basis", "--M", "5", "--grid", "11",
+                         "--out", sys.argv[1]]) == 0
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "basis.csv"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()

@@ -136,14 +136,43 @@ def test_exp_map_pure_A_is_matrix_exponential():
         assert np.max(np.abs(exp_map(U, t).B - P.B @ expm(t * A))) < 1e-12
 
 
-def test_exp_map_rank_deficient_normal_part():
-    P = random_orthonormal(8, 3, 13)
+def _zero_column(C):
+    C[:, 1] = 0.0
+
+
+def _repeated_column(C):
+    C[:, 2] = C[:, 0]
+
+
+def _zero(C):
+    C[:] = 0.0
+
+
+@pytest.mark.parametrize("M, r, degrade", [
+    (8, 3, _zero_column),
+    (8, 3, _repeated_column),
+    (5, 3, None),  # M < 2r: the normal block has rank at most M - r
+    (4, 4, _zero),  # r = M: the normal space is trivial
+], ids=["zero-column", "repeated-column", "M-below-2r", "r-equals-M"])
+def test_exp_map_rank_deficient_normal_part(M, r, degrade):
+    # reference: [B Qc] expm(t S) [I; 0] with Qc an SVD basis of col(C)
+    # and S = [[A, -Rc^T], [Rc, 0]], Rc = Qc^T C
+    P = random_orthonormal(M, r, 13)
     U0 = random_tangent(P, 14)
     C = U0.C.copy()
-    C[:, 1] = 0.0  # kill one column of the normal component
+    if degrade is not None:
+        degrade(C)
     U = TangentVector(P, U0.A, C)
-    Q = exp_map(U, 1.3)
-    assert np.linalg.norm(Q.B.T @ Q.B - np.eye(3)) < 1e-11
+    u, sv, _ = np.linalg.svd(U.C, full_matrices=False)
+    Qc = u[:, sv > 1e-10]
+    Rc = Qc.T @ U.C
+    k = Qc.shape[1]
+    S = np.block([[U.A, -Rc.T], [Rc, np.zeros((k, k))]])
+    t = 1.3
+    E = expm(t * S)
+    Q = exp_map(U, t)
+    assert np.max(np.abs(Q.B - (P.B @ E[:r, :r] + Qc @ E[r:, :r]))) < 1e-12
+    assert np.linalg.norm(Q.B.T @ Q.B - np.eye(r)) < 1e-11
 
 
 def test_exp_map_first_order_residual_quarters():
