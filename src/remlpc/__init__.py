@@ -20,6 +20,7 @@ from .model import (
     DegenerateSpectrumError,
     KernelFn,
     ModelParams,
+    SampleCov,
     TrueKernel,
     canonicalize,
     kernel_from_params,

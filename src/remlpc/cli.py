@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcase, optimizer, sim
 from .bspline import OrthoBasis, eval_basis, make_basis
-from .model import Dataset, ModelParams, matrix_loss
+from .model import Dataset, ModelParams, SampleCov, matrix_loss
 
 EXIT_OK = 0
 EXIT_NOCONV = 2
@@ -97,7 +97,7 @@ def read_curves_csv(path: str) -> Dataset:
     # curves in order of first appearance, rows in file order within each
     order = np.argsort(curve, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(curve))])
-    return Dataset("sparse", np.array(ts)[order], np.array(ys)[order], offsets)
+    return Dataset(np.array(ts)[order], np.array(ys)[order], offsets)
 
 
 def write_curves_csv(path: str, data: Dataset) -> None:
@@ -111,7 +111,7 @@ def _sidecar(path: str) -> str:
     return base + ".json"
 
 
-def read_cov_csv(path: str) -> Dataset:
+def read_cov_csv(path: str) -> SampleCov:
     """Matrix-regime input: numeric M x M CSV plus a sidecar JSON with n."""
     _require_file(path)
     rows = []
@@ -139,12 +139,12 @@ def read_cov_csv(path: str) -> Dataset:
     except (TypeError, ValueError):
         raise DataFormatError(f"{side}: 'n' must be an integer, got {meta['n']!r}") from None
     try:
-        return Dataset.matrix(S, n)
+        return SampleCov(S, n)
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
 
 
-def write_cov_csv(path: str, data: Dataset) -> None:
+def write_cov_csv(path: str, data: SampleCov) -> None:
     lines = [",".join(_fmt(v) for v in row) for row in data.cov]
     _atomic_write(path, "\n".join(lines) + "\n")
     _atomic_write(_sidecar(path), json.dumps({"n": data.n}, sort_keys=True) + "\n")
@@ -264,11 +264,11 @@ def _basis(M: int) -> OrthoBasis:
 
 
 def _positive(args, *names: str) -> None:
-    """Each named float flag must be positive and finite."""
+    """Each named float flag that was given must be positive and finite."""
     for name in names:
         v = getattr(args, name)
-        if not 0.0 < v < math.inf:
-            raise UsageError(f"--{name} must be positive, got {v}")
+        if v is not None and not 0.0 < v < math.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite, got {v}")
 
 
 def _rank(args, M: int) -> None:
@@ -334,7 +334,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _positive(args, "sigma2", "s")
+    _positive(args, "sigma2", "s", "grad_tol")
     if args.max_iter < 0:
         raise UsageError(f"--max-iter must be at least 0, got {args.max_iter}")
     if args.restarts < 1:
@@ -347,8 +347,6 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"--M {args.M} does not match covariance dimension {M}")
     else:
         data = read_curves_csv(args.data)
-        if args.regime == "dense":
-            data = dataclasses.replace(data, regime="dense")
         if args.M is None:
             raise UsageError("functional regimes require --M")
         basis = _basis(args.M)
@@ -481,25 +479,7 @@ def _cmd_design(args) -> int:
     if args.r > 0:
         B = sim.random_frame(args.M, args.r, args.frame_seed).B
     report = sim.design_concentration(basis, args.n, args.m, seed=seed, B=B)
-    header = [
-        "M",
-        "n",
-        "m",
-        "max_dev_full",
-        "mean_dev_full",
-        "max_dev_frame",
-        "sup_squared_norm_ratio",
-    ]
-    row = [
-        report.M,
-        report.n,
-        report.m,
-        report.max_dev_full,
-        report.mean_dev_full,
-        report.max_dev_frame,
-        report.sup_squared_norm_ratio,
-    ]
-    text = _csv_text(header, [row], [])
+    text = _table_text((dataclasses.asdict(report),), [])
     if args.out:
         _atomic_write(args.out, text)
     _say(args, text.strip())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus, optimizer
-from .model import Dataset, DegenerateSpectrumError, ModelParams, canonicalize
+from .model import DegenerateSpectrumError, ModelParams, SampleCov, canonicalize
 from .stiefel import ProductPoint, StiefelPoint
 
 
@@ -73,7 +73,7 @@ def reml_equals_pca(
     pca = pca_fit(S, r, sigma2, s)
     theta = ProductPoint(pca.B, np.log(pca.lam))
     gnorm = optimizer.MatrixObjective(S, sigma2, s).grad(theta).norm()
-    res = optimizer.fit(Dataset.matrix(S, n), None, r, sigma2, s, config)
+    res = optimizer.fit(SampleCov(S, n), None, r, sigma2, s, config)
     dB = float(np.linalg.norm(res.params.B.B - pca.B.B))
     dlam = float(np.linalg.norm(res.params.lam - pca.lam))
     return PcaAgreement(

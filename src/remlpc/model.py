@@ -4,10 +4,11 @@ Two observation regimes share one parameterization (frame B with
 orthonormal columns, eigenvalue vector lam, noise variance sigma2,
 signal scale s):
 
-* functional: curve i observed at m_i design points gives an m_i x m_i
-  marginal covariance  s * Phi_i^T B diag(lam) B^T Phi_i + sigma2 I;
-* matrix: a single M x M sample covariance with population value
-  s * B diag(lam) B^T + sigma2 I.
+* functional (a `Dataset`): curve i observed at m_i design points gives
+  an m_i x m_i marginal covariance  s * Phi_i^T B diag(lam) B^T Phi_i
+  + sigma2 I;
+* matrix (a `SampleCov`): a single M x M sample covariance with
+  population value  s * B diag(lam) B^T + sigma2 I.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ import numpy as np
 
 from .bspline import OrthoBasis, eval_basis, project_function
 from .stiefel import StiefelPoint
-
-REGIMES = ("sparse", "dense", "matrix")
-
 
 class DegenerateSpectrumError(ValueError):
     """Eigenvalue ties or vanishing gaps where distinct values are required."""
@@ -108,37 +106,15 @@ class CurveData:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed data for one fit: a sample covariance, or curves as flat
-    columns t and y with curve i in rows offsets[i]:offsets[i + 1]."""
+    """Curves as flat columns t and y, curve i in rows offsets[i]:offsets[i + 1]."""
 
-    regime: str
-    t: np.ndarray | None = field(default=None, repr=False)
-    y: np.ndarray | None = field(default=None, repr=False)
-    offsets: np.ndarray | None = field(default=None, repr=False)
-    cov: np.ndarray | None = field(default=None, repr=False)
-    n_samples: int | None = None
+    t: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
-        if self.regime == "matrix":
-            if self.cov is None or self.n_samples is None:
-                raise ValueError("matrix regime needs a sample covariance and a sample count")
-            if int(self.n_samples) < 1:
-                raise ValueError("sample count must be positive")
-            S = np.asarray(self.cov, dtype=float)
-            if S.ndim != 2 or S.shape[0] != S.shape[1]:
-                raise ValueError("sample covariance must be square")
-            if not np.isfinite(S).all():
-                raise ValueError("sample covariance must be finite")
-            if not np.array_equal(S, S.T):
-                S = 0.5 * (S + S.T)
-            if np.linalg.eigvalsh(S).min() < -1e-10:
-                raise ValueError("sample covariance is not positive semidefinite")
-            object.__setattr__(self, "cov", S)
-            return
         if self.offsets is None or len(self.offsets) < 2:
-            raise ValueError("functional regimes need at least one curve")
+            raise ValueError("curve data needs at least one curve")
         t = np.asarray(self.t, dtype=float)
         y = np.asarray(self.y, dtype=float)
         offsets = np.asarray(self.offsets, dtype=np.intp)
@@ -156,8 +132,6 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        if self.regime == "matrix":
-            return int(self.n_samples)
         return self.offsets.size - 1
 
     @property
@@ -167,17 +141,36 @@ class Dataset:
         return tuple(map(CurveData, np.split(self.t, cuts), np.split(self.y, cuts)))
 
     @staticmethod
-    def functional(regime: str, curves: Sequence[CurveData]) -> "Dataset":
+    def functional(curves: Sequence[CurveData]) -> "Dataset":
         """Stack per-curve times and values, in order, into the flat columns."""
         if any(np.ndim(c.times) != 1 or np.shape(c.times) != np.shape(c.values) for c in curves):
             raise ValueError("times and values must be 1-d arrays of equal length")
         t = np.concatenate([np.empty(0), *(c.times for c in curves)])
         y = np.concatenate([np.empty(0), *(c.values for c in curves)])
-        return Dataset(regime, t, y, np.cumsum([0, *(np.size(c.times) for c in curves)]))
+        return Dataset(t, y, np.cumsum([0, *(np.size(c.times) for c in curves)]))
 
-    @staticmethod
-    def matrix(cov: np.ndarray, n_samples: int) -> "Dataset":
-        return Dataset(regime="matrix", cov=cov, n_samples=n_samples)
+
+@dataclass(frozen=True)
+class SampleCov:
+    """The sample covariance cov of n Gaussian vectors."""
+
+    cov: np.ndarray = field(repr=False)
+    n: int
+
+    def __post_init__(self):
+        if int(self.n) < 1:
+            raise ValueError("sample count must be positive")
+        S = np.asarray(self.cov, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise ValueError("sample covariance must be square")
+        if not np.isfinite(S).all():
+            raise ValueError("sample covariance must be finite")
+        if not np.array_equal(S, S.T):
+            S = 0.5 * (S + S.T)
+        if np.linalg.eigvalsh(S).min() < -1e-10:
+            raise ValueError("sample covariance is not positive semidefinite")
+        object.__setattr__(self, "cov", S)
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -204,8 +197,6 @@ class CurveBatches:
 
 def curve_batches(data: Dataset, basis: OrthoBasis) -> CurveBatches:
     """Group the curves by m, ascending, keeping curve order within a group."""
-    if data.regime == "matrix":
-        raise ValueError("curve batches are only defined for functional regimes")
     counts = np.diff(data.offsets)
     order = np.argsort(counts, kind="stable")
     edges = np.flatnonzero(np.diff(counts[order])) + 1

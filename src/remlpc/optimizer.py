@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus, model
 from .bspline import OrthoBasis
-from .model import CurveBatches, Dataset, ModelParams, canonicalize, curve_batches
+from .model import CurveBatches, Dataset, ModelParams, SampleCov, canonicalize, curve_batches
 from .stiefel import (
     GeodesicError,
     ProductPoint,
@@ -61,10 +61,8 @@ class FitConfig:
     """Knobs of the geodesic descent loop.
 
     grad_tol of None takes the objective's own default (1e-8 for matrix
-    data, 1e-6 for curve data).  fisher=True preconditions by the
-    population Hessian: Fisher scoring in the matrix regime, L-BFGS seeded
-    by Fisher scoring in the curve regime.  fisher=False is plain
-    gradient descent.
+    data, 1e-6 for curve data); a given grad_tol must be positive and
+    finite.
     """
 
     max_iter: int = 500
@@ -72,7 +70,6 @@ class FitConfig:
     init: str = "pooled-pca"  # pooled-pca | random
     restarts: int = 3
     seed: int = 0
-    fisher: bool = True
 
 
 @dataclass(frozen=True)
@@ -233,12 +230,14 @@ class MatrixObjective:
 Objective = FunctionalObjective | MatrixObjective
 
 
-def objective(data: Dataset, basis: OrthoBasis | None, sigma2: float, s: float = 1.0) -> Objective:
-    """The loss of the dataset's regime; the descent never looks at the regime again."""
-    if data.regime == "matrix":
+def objective(
+    data: Dataset | SampleCov, basis: OrthoBasis | None, sigma2: float, s: float = 1.0
+) -> Objective:
+    """The loss of the data's regime; the descent never looks at the regime again."""
+    if isinstance(data, SampleCov):
         return MatrixObjective(data.cov, sigma2, s)
     if basis is None:
-        raise ValueError("functional regimes need a basis")
+        raise ValueError("curve data needs a basis")
     return FunctionalObjective(curve_batches(data, basis), basis.M, sigma2, s)
 
 
@@ -330,17 +329,14 @@ class CurvatureMemory:
 
 
 def _direction(
-    theta, grad, obj: Objective, fisher: bool, memory: CurvatureMemory | None = None
+    theta, grad, obj: Objective, memory: CurvatureMemory | None = None
 ) -> ProductTangent:
-    """Search direction.  With fisher, the L-BFGS two-loop recursion over
-    `memory` in the product metric, with the closed-form population
-    Hessian inverse as its initial operator H0 (the identity near
-    eigenvalue ties).  H0 scales A symmetrically in (i, j), the columns of
-    C and zeta, so it is self-adjoint and positive definite in that metric;
-    an empty memory gives the Fisher direction H0 g itself.  Without
-    fisher, the plain negative gradient."""
-    if not fisher:
-        return grad.scaled(-1.0)
+    """Search direction: the L-BFGS two-loop recursion over `memory` in the
+    product metric, with the closed-form population Hessian inverse as its
+    initial operator H0 (the identity near eigenvalue ties).  H0 scales A
+    symmetrically in (i, j), the columns of C and zeta, so it is
+    self-adjoint and positive definite in that metric; an empty memory
+    gives the Fisher direction H0 g itself."""
     point = theta.point
     qB, qz = grad.U, grad.dzeta
     if memory:  # first loop, newest pair first, on flat rows
@@ -380,7 +376,6 @@ class StepInfo:
 def step(
     theta: ProductPoint,
     obj: Objective,
-    config: FitConfig,
     loss0: float,
     t0: float = 1.0,
     memory: CurvatureMemory | None = None,
@@ -399,7 +394,7 @@ def step(
         return theta, StepInfo(loss0, gnorm, 0.0, 0, False)
     if memory is not None:
         memory.observe(theta.point.B, grad)
-    d = _direction(theta, grad, obj, config.fisher, memory)
+    d = _direction(theta, grad, obj, memory)
     slope = product_inner(grad, d)
     if slope >= 0.0:  # fall back if preconditioning failed to give descent
         d = grad.scaled(-1.0)
@@ -431,7 +426,7 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
     when the last step already computed it (None otherwise)."""
     trace = [obj.loss(theta)]
     memory = None
-    if config.fisher and obj.curvature_pairs:
+    if obj.curvature_pairs:
         memory = CurvatureMemory(obj.curvature_pairs, *theta.point.shape)
     t_prev = 1.0
     iters = 0
@@ -439,7 +434,7 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
     reason = "max-iter"
     while iters < config.max_iter:
         t0 = min(max(4.0 * t_prev, 1e-2), 1.0)
-        theta_new, info = step(theta, obj, config, trace[-1], t0, memory)
+        theta_new, info = step(theta, obj, trace[-1], t0, memory)
         if info.step_size == 0.0:  # theta did not move; step took its gradient
             reason = "line-search" if info.stalled else "grad-tol"
             return theta, np.asarray(trace), reason, iters, info.grad_norm
@@ -456,7 +451,7 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
 
 
 def fit(
-    data: Dataset,
+    data: Dataset | SampleCov,
     basis: OrthoBasis | None,
     r: int,
     sigma2: float,
@@ -472,6 +467,8 @@ def fit(
     config = config or FitConfig()
     obj = objective(data, basis, sigma2, s)
     if config.grad_tol is not None:
+        if not 0.0 < config.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {config.grad_tol}")
         obj = replace(obj, grad_tol=config.grad_tol)
     if r < 1 or r > obj.dim:
         raise ValueError(f"rank must be in [1, {obj.dim}], got {r}")

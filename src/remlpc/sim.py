@@ -17,6 +17,7 @@ from .bspline import OrthoBasis, eval_basis, make_basis
 from .model import (
     Dataset,
     ModelParams,
+    SampleCov,
     TrueKernel,
     canonicalize,
     kernel_from_params,
@@ -93,13 +94,13 @@ def sample_dataset(
     s: float = 1.0,
     m_bounds: tuple[int, int] | None = None,
     m: int | None = None,
-) -> Dataset:
+) -> Dataset | SampleCov:
     """Draw one synthetic dataset.
 
     Functional regimes need a TrueKernel plus either m_bounds (sparse,
     per-curve count uniform on the closed range) or m (dense, common
-    count).  The matrix regime needs a ModelParams truth and returns the
-    sample covariance of n Gaussian vectors.
+    count) and return a curve Dataset.  The matrix regime needs a
+    ModelParams truth and returns the SampleCov of n Gaussian vectors.
     """
     if regime == "sparse" and not (
         m_bounds is not None and len(m_bounds) == 2 and 1 <= m_bounds[0] <= m_bounds[1]
@@ -115,7 +116,7 @@ def sample_dataset(
         xi = rng.standard_normal((n, truth.r))
         eta = rng.standard_normal((n, truth.M))
         Y = xi @ (np.sqrt(truth.s * lam)[:, None] * B.T) + np.sqrt(truth.sigma2) * eta
-        return Dataset.matrix(Y.T @ Y / n, n)
+        return SampleCov(Y.T @ Y / n, n)
     if not isinstance(truth, TrueKernel):
         raise ValueError("functional regimes need a TrueKernel truth")
     if regime == "sparse":
@@ -136,7 +137,7 @@ def sample_dataset(
     F = np.stack([f(t) for f in truth.eigenfunctions], axis=1)
     scores = np.sqrt(truth.eigenvalues) * xi
     signal = np.concatenate([np.empty(0), *(F[a:b] @ scores[i] for i, (a, b) in bounds)])
-    return Dataset(regime, t, signal + np.sqrt(sigma2) * eps, offsets)
+    return Dataset(t, signal + np.sqrt(sigma2) * eps, offsets)
 
 
 @dataclass(frozen=True)
@@ -460,9 +461,9 @@ def kl_ellipsoid_scan(
 class DesignReport:
     """Concentration of per-curve design second-moment matrices."""
 
+    M: int
     n: int
     m: int
-    M: int
     max_dev_full: float
     mean_dev_full: float
     max_dev_frame: float
@@ -496,9 +497,9 @@ def design_concentration(
     grid = np.linspace(0.0, 1.0, probe_points)
     sup_ratio = float((eval_basis(basis, grid) ** 2).sum(axis=1).max() / M)
     return DesignReport(
+        M=M,
         n=n,
         m=m,
-        M=M,
         max_dev_full=max_dev,
         mean_dev_full=sum_dev / n,
         max_dev_frame=max_dev_frame,

@@ -243,7 +243,7 @@ def test_criterion_06_derivative_stack():
                 times=t,
                 values=np.linalg.cholesky(marginal_cov(truth, Phi)) @ rng.standard_normal(m),
             ))
-        batches = curve_batches(Dataset.functional("sparse", curves), basis)
+        batches = curve_batches(Dataset.functional(curves), basis)
         gp = calculus.grad_functional_raw(theta.point, np.exp(theta.zeta), 0.4, 1.1, batches)
         d = _rand_dir(theta, 500 + k)
         want = _fd_slope(

@@ -15,6 +15,7 @@ from remlpc.model import (
     CurveData,
     Dataset,
     ModelParams,
+    SampleCov,
     curve_batches,
     marginal_cov,
     matrix_loss,
@@ -65,7 +66,7 @@ def make_functional(M, r, n, seed, sigma2=0.4, s=1.1, m_bounds=(3, 7)):
         Phi = eval_basis(basis, t).T
         y = np.linalg.cholesky(marginal_cov(params, Phi)) @ rng.standard_normal(m)
         curves.append(CurveData(times=t, values=y))
-    data = Dataset.functional("sparse", curves)
+    data = Dataset.functional(curves)
     return basis, data, curve_batches(data, basis)
 
 
@@ -131,7 +132,7 @@ def objective_fd_check(obj, theta, seed, h=1e-5):
 def test_scaled_gradient_matches_fd(M, r, sigma2, s, seed):
     S = spiked_sample_cov(M, r, 150, seed, sigma2=sigma2, s=s)
     theta = random_product_point(M, r, seed + 1)
-    objective_fd_check(objective(Dataset.matrix(S, 150), None, sigma2, s), theta, seed + 2)
+    objective_fd_check(objective(SampleCov(S, 150), None, sigma2, s), theta, seed + 2)
 
 
 @settings(max_examples=30)
@@ -152,7 +153,7 @@ def test_objective_grads_call_the_kernels(monkeypatch):
     assert np.array_equal(g.U.full(), want.U.full())
     assert np.array_equal(g.dzeta, want.dzeta)
     S = spiked_sample_cov(5, 2, 90, 23, sigma2=sigma2, s=s)
-    obj = objective(Dataset.matrix(S, 90), None, sigma2, s)
+    obj = objective(SampleCov(S, 90), None, sigma2, s)
     calls = []
 
     def counted(name):

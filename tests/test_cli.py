@@ -11,7 +11,7 @@ import pytest
 
 from conftest import spiked_sample_cov
 from remlpc import cli
-from remlpc.model import CurveData, Dataset
+from remlpc.model import CurveData, SampleCov
 from remlpc.sim import make_true_kernel, sample_dataset
 
 
@@ -28,7 +28,7 @@ def curves_file(tmp_path):
 def cov_file(tmp_path):
     S = spiked_sample_cov(6, 2, 400, seed=2)
     path = tmp_path / "cov.csv"
-    cli.write_cov_csv(str(path), Dataset.matrix(S, 400))
+    cli.write_cov_csv(str(path), SampleCov(S, 400))
     return path, S
 
 
@@ -115,6 +115,12 @@ def test_usage_errors_exit_64(tmp_path, capsys):
       "--max-iter", "-3", "--out", "{out}"], "--max-iter"),
     (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25",
       "--restarts", "0", "--out", "{out}"], "--restarts"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25",
+      "--grad-tol=-1", "--out", "{out}"], "--grad-tol"),
+    (["fit", "--data", "{data}", "--M", "4", "--r", "2", "--sigma2", "0.25",
+      "--grad-tol", "nan", "--out", "{out}"], "--grad-tol"),
+    (["fit", "--data", "{cov}", "--regime", "matrix", "--r", "2", "--sigma2", "1",
+      "--grad-tol", "0", "--out", "{out}"], "--grad-tol"),
     (["pca", "--data", "{cov}", "--r", "9", "--out", "{out}"], "--r"),
     (["pca", "--data", "{cov}", "--r", "0", "--out", "{out}"], "--r"),
     (["pca", "--data", "{cov}", "--r", "2", "--sigma2", "0", "--out", "{out}"], "--sigma2"),
@@ -128,7 +134,8 @@ def test_usage_errors_exit_64(tmp_path, capsys):
      "--directions"),
 ], ids=["basis-M", "fit-M", "design-M", "design-n", "design-m", "design-r",
         "fit-r-high", "fit-r-zero", "fit-matrix-r", "fit-sigma2", "fit-s", "fit-max-iter",
-        "fit-restarts", "pca-r-high", "pca-r-zero", "pca-sigma2", "kl-alpha-zero",
+        "fit-restarts", "fit-grad-tol-negative", "fit-grad-tol-nan", "fit-grad-tol-zero",
+        "pca-r-high", "pca-r-zero", "pca-sigma2", "kl-alpha-zero",
         "kl-alpha-negative", "kl-alpha-empty", "kl-alpha-nan", "kl-directions-zero",
         "kl-directions-negative"])
 def test_out_of_range_flags_exit_64(tmp_path, curves_file, cov_file, params_file, capsys,
@@ -263,6 +270,17 @@ def test_fit_from_csv_builds_no_per_curve_objects(tmp_path, curves_file, monkeyp
     capsys.readouterr()
 
 
+def test_dense_regime_fits_exactly_as_sparse(tmp_path, curves_file, capsys):
+    path, _ = curves_file
+    outs = {}
+    for regime in ("sparse", "dense"):
+        outs[regime] = tmp_path / f"{regime}.json"
+        assert cli.main(["fit", "--data", str(path), "--M", "4", "--r", "2", "--sigma2", "0.25",
+                         "--regime", regime, "--out", str(outs[regime])]) == 0
+    assert outs["sparse"].read_bytes() == outs["dense"].read_bytes()
+    capsys.readouterr()
+
+
 def test_nonconvergence_exits_2_but_writes(tmp_path, curves_file, capsys):
     path, _ = curves_file
     out = tmp_path / "fit.json"
@@ -339,12 +357,26 @@ def test_rates_verb_thread_invariance(tmp_path, capsys):
 
 def test_unknown_fit_key_exits_65(tmp_path, capsys):
     cfg = tmp_path / "rates.json"
+    for key, value in (("armijo_cc", 0.2), ("fisher", True)):
+        cfg.write_text(json.dumps({
+            "regime": "matrix", "n_grid": [64, 128], "replicates": 1, "r": 2,
+            "truth": {"M": 8, "eigenvalues": [3.0, 1.0]}, "fit": {key: value},
+        }))
+        assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 65
+        assert f"unknown key(s) in 'fit': {key}" in capsys.readouterr().err
+
+
+def test_bad_fit_grad_tol_exits_65(tmp_path, capsys):
+    cfg = tmp_path / "rates.json"
     cfg.write_text(json.dumps({
         "regime": "matrix", "n_grid": [64, 128], "replicates": 1, "r": 2,
-        "truth": {"M": 8, "eigenvalues": [3.0, 1.0]}, "fit": {"armijo_cc": 0.2},
+        "truth": {"M": 8, "eigenvalues": [3.0, 1.0]}, "fit": {"grad_tol": -1},
     }))
-    assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 65
-    assert "armijo_cc" in capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "grad_tol must be positive and finite" in err
+    assert not out.exists()
 
 
 def test_experiment_config_missing_key_exits_65(tmp_path, capsys):
@@ -428,6 +460,17 @@ def test_design_check_verb(tmp_path, capsys):
     assert cli.main(["design-check", "--M", "6", "--n", "20", "--m", "40",
                      "--r", "2", "--out", str(out)]) == 0
     assert out.exists()
+    capsys.readouterr()
+
+
+def test_design_check_columns_are_the_report_fields(tmp_path, capsys):
+    out = tmp_path / "design.csv"
+    assert cli.main(["design-check", "--M", "6", "--n", "20", "--m", "40",
+                     "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == ("M,n,m,max_dev_full,mean_dev_full,max_dev_frame,"
+                      "sup_squared_norm_ratio")
+    assert row.startswith("6,20,40,")
     capsys.readouterr()
 
 

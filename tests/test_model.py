@@ -11,6 +11,7 @@ from remlpc.model import (
     Dataset,
     DegenerateSpectrumError,
     ModelParams,
+    SampleCov,
     TrueKernel,
     batched_cholesky,
     canonicalize,
@@ -46,7 +47,7 @@ def toy_curves(n, basis, params, seed=0, m_lo=3, m_hi=9):
         cov = marginal_cov(params, Phi)
         y = np.linalg.cholesky(cov) @ rng.standard_normal(m)
         curves.append(CurveData(times=t, values=y))
-    return Dataset.functional("sparse", curves)
+    return Dataset.functional(curves)
 
 
 # ---------------------------------------------------------------- params
@@ -127,32 +128,30 @@ def test_canonicalize_is_idempotent(M, data, seed, ties):
 
 def test_matrix_dataset_validation():
     S = np.eye(3)
-    d = Dataset.matrix(S, 10)
-    assert d.regime == "matrix" and d.n == 10
+    d = SampleCov(S, 10)
+    assert d.n == 10
     asym = S.copy()
     asym[0, 1] = 1e-13  # symmetrized silently
-    Dataset.matrix(asym, 5)
+    SampleCov(asym, 5)
     bad = np.diag([1.0, -1e-5, 1.0])
     with pytest.raises(ValueError):
-        Dataset.matrix(bad, 5)
+        SampleCov(bad, 5)
     with pytest.raises(ValueError):
-        Dataset.matrix(S, 0)
+        SampleCov(S, 0)
     for bad_value in (np.nan, np.inf):
         nonfinite = S.copy()
         nonfinite[1, 1] = bad_value
         with pytest.raises(ValueError, match="finite"):
-            Dataset.matrix(nonfinite, 5)
+            SampleCov(nonfinite, 5)
 
 
 def test_functional_dataset_validation():
     def one_curve(t, y):
-        return Dataset.functional("sparse", [CurveData(times=np.array(t), values=np.array(y))])
+        return Dataset.functional([CurveData(times=np.array(t), values=np.array(y))])
 
     c = [CurveData(times=np.array([0.1, 0.5]), values=np.array([1.0, 2.0]))]
-    d = Dataset.functional("sparse", c)
+    d = Dataset.functional(c)
     assert d.n == 1 and d.curves[0].m == 2
-    with pytest.raises(ValueError):
-        Dataset.functional("matrix", c)
     with pytest.raises(ValueError):
         one_curve([0.1], [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -164,20 +163,20 @@ def test_functional_dataset_validation():
 
 def test_dataset_validates_its_columns():
     t, y = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0])
-    assert Dataset(regime="dense", t=t, y=y, offsets=[0, 1, 3]).n == 2
+    assert Dataset(t=t, y=y, offsets=[0, 1, 3]).n == 2
     with pytest.raises(ValueError, match="at least one curve"):
-        Dataset.functional("sparse", [])
+        Dataset.functional([])
     with pytest.raises(ValueError, match="a curve needs at least one observation"):
-        Dataset(regime="sparse", t=t, y=y, offsets=[0, 1, 1, 3])
+        Dataset(t=t, y=y, offsets=[0, 1, 1, 3])
     for offsets in ([0, 2], [1, 3]):
         with pytest.raises(ValueError, match="split by offsets"):
-            Dataset(regime="sparse", t=t, y=y, offsets=offsets)
+            Dataset(t=t, y=y, offsets=offsets)
     with pytest.raises(ValueError, match="equal length"):
-        Dataset(regime="sparse", t=t, y=y[:2], offsets=[0, 3])
+        Dataset(t=t, y=y[:2], offsets=[0, 3])
     with pytest.raises(ValueError, match="design points must lie"):
-        Dataset(regime="sparse", t=[0.1, 0.2, 1.5], y=y, offsets=[0, 1, 3])
+        Dataset(t=[0.1, 0.2, 1.5], y=y, offsets=[0, 1, 3])
     with pytest.raises(ValueError, match="design points and values must be finite"):
-        Dataset(regime="sparse", t=t, y=[1.0, np.nan, 3.0], offsets=[0, 2, 3])
+        Dataset(t=t, y=[1.0, np.nan, 3.0], offsets=[0, 2, 3])
 
 
 def curve_batches_reference(data, basis):
@@ -207,7 +206,7 @@ def test_columnar_batches_match_the_per_curve_loop(counts, M, seed):
     rng = np.random.default_rng(seed)
     curves = [CurveData(times=rng.uniform(0.0, 1.0, m), values=rng.standard_normal(m))
               for m in counts]
-    data = Dataset.functional("sparse", curves)
+    data = Dataset.functional(curves)
     assert len(data.curves) == len(curves)
     for view, c in zip(data.curves, curves):
         assert same_bits(view.times, c.times) and same_bits(view.values, c.values)
@@ -295,7 +294,7 @@ def test_matrix_loss_matches_dense_formula(M, r, sigma2, s, seed):
     gamma = s * (B * lam) @ B.T + sigma2 * np.eye(M)
     sign, logdet = np.linalg.slogdet(gamma)
     want = np.trace(np.linalg.solve(gamma, S)) + logdet
-    got = objective(Dataset.matrix(S, 300), None, sigma2, s).loss(theta)
+    got = objective(SampleCov(S, 300), None, sigma2, s).loss(theta)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -336,7 +335,7 @@ def test_objective_factory_dispatches_by_regime():
     theta = ProductPoint(params.B, np.log(params.lam))
     B, lam = theta.point.B, theta.lam
     S = spiked_sample_cov(5, 2, 100, seed=10)
-    obj = objective(Dataset.matrix(S, 100), None, params.sigma2, params.s)
+    obj = objective(SampleCov(S, 100), None, params.sigma2, params.s)
     assert isinstance(obj, MatrixObjective) and obj.dim == 5
     assert obj.loss(theta) == matrix_loss(B, lam, params.sigma2, params.s, obj.S)
     basis = make_basis(5)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_orthonormal, random_product_point, random_tangent, spiked_sample_cov
 from remlpc.bspline import eval_basis, make_basis
 from remlpc import calculus, model, optimizer, stiefel
-from remlpc.model import CurveData, Dataset, ModelParams, canonicalize, marginal_cov
+from remlpc.model import CurveData, Dataset, ModelParams, SampleCov, canonicalize, marginal_cov
 from remlpc.optimizer import FitConfig, fit, init_params, objective
 from remlpc.matrixcase import pca_fit
 from remlpc.sim import make_true_kernel, sample_dataset
@@ -24,12 +24,12 @@ def small_functional(n=60, M=5, r=2, seed=0, sigma2=0.3):
         Phi = eval_basis(basis, t).T
         y = np.linalg.cholesky(marginal_cov(truth, Phi)) @ rng.standard_normal(m)
         curves.append(CurveData(times=t, values=y))
-    return basis, Dataset.functional("sparse", curves), truth
+    return basis, Dataset.functional(curves), truth
 
 
 def test_grad_tol_defaults_by_regime():
     S = spiked_sample_cov(6, 2, 100, seed=12)
-    data = Dataset.matrix(S, 100)
+    data = SampleCov(S, 100)
     assert objective(data, None, 1.0).grad_tol == 1e-8
     basis, curves, _ = small_functional(n=10, seed=12)
     assert objective(curves, basis, 0.3).grad_tol == 1e-6
@@ -38,9 +38,16 @@ def test_grad_tol_defaults_by_regime():
     assert res.converged and res.n_iter == 0 and res.stop_reason == "grad-tol"
 
 
+@pytest.mark.parametrize("grad_tol", [-1.0, 0.0, np.nan, np.inf])
+def test_fit_rejects_a_grad_tol_that_is_not_positive_and_finite(grad_tol):
+    data = SampleCov(spiked_sample_cov(6, 2, 100, seed=12), 100)
+    with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+        fit(data, None, 2, 1.0, 1.0, FitConfig(grad_tol=grad_tol))
+
+
 def test_matrix_fit_reaches_closed_form():
     S = spiked_sample_cov(12, 2, 500, seed=1)
-    res = fit(Dataset.matrix(S, 500), None, 2, 1.0, 1.0,
+    res = fit(SampleCov(S, 500), None, 2, 1.0, 1.0,
               FitConfig(init="random", restarts=1, seed=5))
     pca = pca_fit(S, 2)
     assert res.converged
@@ -50,7 +57,7 @@ def test_matrix_fit_reaches_closed_form():
 
 def test_pooled_pca_init_is_exact_in_matrix_regime():
     S = spiked_sample_cov(10, 3, 400, seed=2, eigenvalues=[4.0, 2.0, 1.0])
-    res = fit(Dataset.matrix(S, 400), None, 3, 1.0, 1.0, FitConfig(restarts=1))
+    res = fit(SampleCov(S, 400), None, 3, 1.0, 1.0, FitConfig(restarts=1))
     assert res.converged and res.n_iter == 0
     pca = pca_fit(S, 3)
     assert np.max(np.abs(res.params.lam - pca.lam)) < 1e-12
@@ -118,7 +125,7 @@ def test_backtracking_factors_its_direction_once(monkeypatch, k):
     # each halving re-evaluates the same geodesic at a shorter t; only the
     # exponentiation of the eigenvalues may be redone
     S = spiked_sample_cov(8, 2, 200, 3)
-    obj = objective(Dataset.matrix(S, 200), None, 1.0)
+    obj = objective(SampleCov(S, 200), None, 1.0)
     theta = ProductPoint(random_orthonormal(8, 2, 4), np.log([2.0, 1.0]))
     counts = {"geodesic_factors": 0, "product_exp": 0}
 
@@ -133,7 +140,7 @@ def test_backtracking_factors_its_direction_once(monkeypatch, k):
 
     counted(stiefel, "geodesic_factors")
     counted(optimizer, "product_exp")
-    _, info = optimizer.step(theta, RejectFirst(obj, k), FitConfig(), obj.loss(theta))
+    _, info = optimizer.step(theta, RejectFirst(obj, k), obj.loss(theta))
     assert info.halvings == k and info.step_size == 0.5**k
     assert counts == {"geodesic_factors": 1, "product_exp": k + 1}
 
@@ -143,7 +150,7 @@ def test_failed_geodesic_is_a_rejected_trial(monkeypatch, k):
     # a trial whose geodesic loses orthogonality is halved like one that
     # fails the Armijo test; it neither ends the fit nor is accepted
     S = spiked_sample_cov(8, 2, 200, 3)
-    obj = objective(Dataset.matrix(S, 200), None, 1.0)
+    obj = objective(SampleCov(S, 200), None, 1.0)
     theta = ProductPoint(random_orthonormal(8, 2, 4), np.log([2.0, 1.0]))
     exp, left = optimizer.product_exp, [k]
 
@@ -154,7 +161,7 @@ def test_failed_geodesic_is_a_rejected_trial(monkeypatch, k):
         return exp(*args)
 
     monkeypatch.setattr(optimizer, "product_exp", failing)
-    moved, info = optimizer.step(theta, obj, FitConfig(), obj.loss(theta))
+    moved, info = optimizer.step(theta, obj, obj.loss(theta))
     assert info.halvings == k and info.step_size == 0.5**k and not info.stalled
     assert info.loss == obj.loss(moved) < obj.loss(theta)
 
@@ -191,7 +198,7 @@ def duplicated_design():
     """300 sparse curves (m 2..4), each point listed twice with the same value."""
     truth = make_true_kernel("fourier", [1.0, 0.5], seed=1)
     d = sample_dataset(truth, "sparse", 300, (1, 300, 0), sigma2=0.25, m_bounds=(2, 4))
-    return Dataset(regime="sparse", t=np.repeat(d.t, 2), y=np.repeat(d.y, 2),
+    return Dataset(t=np.repeat(d.t, 2), y=np.repeat(d.y, 2),
                    offsets=2 * d.offsets)
 
 
@@ -244,7 +251,7 @@ def regime_objective(regime, M, r, seed):
     """An objective of the regime with its (M, r); curve data is fixed at M=5, r=2."""
     if regime == "matrix":
         S = spiked_sample_cov(M, r, 200, seed)
-        return objective(Dataset.matrix(S, 200), None, 1.0), M, r
+        return objective(SampleCov(S, 200), None, 1.0), M, r
     basis, data, _ = FUNCTIONAL
     return objective(data, basis, 0.3), basis.M, 2
 
@@ -264,7 +271,7 @@ def test_empty_memory_gives_the_fisher_direction_bit_for_bit(regime, M, r, seed)
     grad = obj.grad(theta)
     dB, dz = fisher_direction(theta, grad, obj)
     for memory in (None, optimizer.CurvatureMemory(5, M, r)):
-        d = optimizer._direction(theta, grad, obj, True, memory)
+        d = optimizer._direction(theta, grad, obj, memory)
         assert np.array_equal(d.U.A, dB.A) and np.array_equal(d.U.C, dB.C)
         assert np.array_equal(d.dzeta, dz)
 
@@ -296,12 +303,12 @@ def test_two_loop_direction_descends_and_meets_the_secant_equation(M, r, k, seed
     g = flat_tangent(theta.point, seed + 1000)
     gA, gC, gz = memory.split(g)
     grad = stiefel.ProductTangent(stiefel.TangentVector(theta.point, gA, gC), gz.copy())
-    d = optimizer._direction(theta, grad, obj, True, memory)
+    d = optimizer._direction(theta, grad, obj, memory)
     assert stiefel.product_inner(grad, d) < 0.0
     # the two-loop operator maps the newest y to the newest s
     yA, yC, yz = memory.split(memory.Y[-1])
     y_grad = stiefel.ProductTangent(stiefel.TangentVector(theta.point, yA, yC), yz.copy())
-    d_y = optimizer._direction(theta, y_grad, obj, True, memory)
+    d_y = optimizer._direction(theta, y_grad, obj, memory)
     s_row = memory.flat(d_y)
     assert np.allclose(-s_row, memory.S[-1], rtol=1e-8, atol=1e-8 * np.abs(memory.S[-1]).max())
 
@@ -342,7 +349,7 @@ def test_memory_moves_with_the_base_point():
 
 def test_matrix_objective_keeps_no_curvature_pairs():
     S = spiked_sample_cov(8, 2, 300, seed=8)
-    assert objective(Dataset.matrix(S, 300), None, 1.0).curvature_pairs == 0
+    assert objective(SampleCov(S, 300), None, 1.0).curvature_pairs == 0
     basis, data, _ = FUNCTIONAL
     assert objective(data, basis, 0.3).curvature_pairs == optimizer.CURVATURE_PAIRS
 
@@ -367,18 +374,10 @@ def test_restarts_pick_best_loss():
     assert res.loss <= single[0].loss + 1e-12
 
 
-def test_plain_gradient_descent_still_works():
-    S = spiked_sample_cov(8, 2, 300, seed=8)
-    res = fit(Dataset.matrix(S, 300), None, 2, 1.0, 1.0,
-              FitConfig(init="random", restarts=1, seed=7, fisher=False, max_iter=3000))
-    pca = pca_fit(S, 2)
-    assert np.max(np.abs(res.params.lam - pca.lam)) < 1e-4
-
-
 def test_init_params_shapes_and_floor():
     rng = np.random.default_rng(9)
     S = spiked_sample_cov(9, 2, 250, seed=9)
-    matrix_obj = objective(Dataset.matrix(S, 250), None, 1.0)
+    matrix_obj = objective(SampleCov(S, 250), None, 1.0)
     for init in ("pooled-pca", "random"):
         p = init_params(matrix_obj, 2, init, rng)
         assert p.M == 9 and p.r == 2
@@ -393,9 +392,9 @@ def test_init_params_shapes_and_floor():
 def test_requested_rank_validated():
     S = spiked_sample_cov(6, 2, 100, seed=11)
     with pytest.raises(ValueError):
-        fit(Dataset.matrix(S, 100), None, 0, 1.0)
+        fit(SampleCov(S, 100), None, 0, 1.0)
     with pytest.raises(ValueError):
-        fit(Dataset.matrix(S, 100), None, 7, 1.0)
+        fit(SampleCov(S, 100), None, 7, 1.0)
 
 
 def pooled_fit_reference(batches, M, r, ridge):
@@ -441,7 +440,7 @@ def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed)
     y = mean + np.sqrt(0.2) * rng.standard_normal(curve.size)
     ends = np.cumsum(ms)[:-1]
     curves = [CurveData(times=tc, values=yc) for tc, yc in zip(np.split(t, ends), np.split(y, ends))]
-    batches = objective(Dataset.functional("sparse", curves), basis, 0.2).batches
+    batches = objective(Dataset.functional(curves), basis, 0.2).batches
     point, lam = optimizer._pooled_fit_functional(batches, M, r, optimizer.INIT_RIDGE)
     B_ref, lam_ref = pooled_fit_reference(batches, M, r, optimizer.INIT_RIDGE)
     assert np.all(np.abs(lam - lam_ref) <= 1e-10 * lam_ref)
@@ -453,7 +452,7 @@ def test_pooled_initializer_needs_pairs():
     rng = np.random.default_rng(0)
     curves = [CurveData(times=rng.uniform(0.0, 1.0, 1), values=rng.standard_normal(1))
               for _ in range(200)]
-    obj = objective(Dataset.functional("sparse", curves), basis, 0.25)
+    obj = objective(Dataset.functional(curves), basis, 0.25)
     with pytest.raises(ValueError, match="no curve has two or more observations"):
         obj.pooled_start(3)
 

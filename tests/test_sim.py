@@ -21,7 +21,7 @@ from remlpc.sim import (
     schedule_M,
     score_experiment,
 )
-from remlpc.model import ModelParams
+from remlpc.model import ModelParams, SampleCov
 
 
 TINY_MATRIX = ExperimentConfig(
@@ -61,7 +61,7 @@ def test_sample_dataset_dense_and_matrix():
     star = ModelParams(M=6, r=2, B=random_frame(6, 2, 4),
                        lam=np.array([3.0, 1.0]), sigma2=1.0)
     mat = sample_dataset(star, "matrix", 200, (2, 200, 0))
-    assert mat.regime == "matrix" and mat.cov.shape == (6, 6) and mat.n == 200
+    assert isinstance(mat, SampleCov) and mat.cov.shape == (6, 6) and mat.n == 200
     evals = np.linalg.eigvalsh(mat.cov)
     assert evals.min() > 0.0
 
