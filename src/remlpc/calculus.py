@@ -194,28 +194,26 @@ def grad_functional_raw(
 ) -> ProductTangent:
     """Gradient of the functional-regime loss at frame `point`, eigenvalues `lam`.
 
-    The Euclidean frame derivative is averaged over curves and then
-    projected to the tangent space; the zeta part is its exact diagonal
-    counterpart.  No m x m matrix is ever formed.
+    The Euclidean frame derivative of the loss is
+    F = (sum_i P_i B G_i^-1 - (sum_i a_i a_i^T) B diag(lam_eff)) / n  with
+    a_i = Phi_i^T Sigma_i^-1 y_i = (v_i - P_i B u_i) / sigma2 and
+    u_i = G_i^-1 B^T v_i; it is projected to the tangent space.  The zeta
+    part is its exact diagonal counterpart, the mean over curves of
+    (diag(H_i G_i^-1) - lam_eff (B^T a_i)^2) / 2.  No m x m matrix is formed.
     """
     B = point.B
     lam_eff = s * lam
     M, r = B.shape
     n = batches.n
-    Xs, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
+    H, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
     Linv = lower_solve(L, np.broadcast_to(np.eye(r), L.shape))
     Ginv = np.einsum("nki,nkj->nij", Linv, Linv)
     u = (Ginv @ Xty[:, :, None])[:, :, 0]
-    F_acc = np.zeros((M, r))
-    z_acc = np.zeros(r)
-    for (_, Phi, y), X, sl in zip(batches.groups, Xs, batches.slices()):
-        # Sigma^{-1} X = X G^{-1} diag(1 / lam_eff), because
-        # X^T X = G - sigma2 diag(1 / lam_eff) turns the Woodbury downdate into it
-        SiX = (X @ Ginv[sl]) / lam_eff
-        Siy = (y - (X @ u[sl, :, None])[:, :, 0]) / sigma2
-        WX = SiX - Siy[:, :, None] * (Siy[:, None, :] @ X)
-        F_acc += Phi.reshape(-1, M).T @ WX.reshape(-1, r)
-        z_acc += np.einsum("gmk,gmk->k", X, WX)
-    F = F_acc * lam_eff / n
-    gz = z_acc * lam_eff / (2.0 * n)
+    a = (batches.v - np.einsum("nab,nb->na", batches.P, u @ B.T)) / sigma2
+    # sum_i P_i B G_i^-1 from W = sum_i vec(P_i) vec(G_i^-1)^T, one GEMM
+    W = (batches.P.reshape(n, M * M).T @ Ginv.reshape(n, r * r)).reshape(M, M, r, r)
+    PBG = np.einsum("abkl,bk->al", W, B)
+    F = (PBG - ((a.T @ a) @ B) * lam_eff) / n
+    z = np.einsum("nkl,nlk->k", H, Ginv) - lam_eff * np.sum((a @ B) ** 2, axis=0)
+    gz = z / (2.0 * n)
     return ProductTangent(intrinsic_grad(point, F), gz)

@@ -131,13 +131,9 @@ def read_cov_csv(path: str) -> SampleCov:
     if S.size == 0 or S.shape[0] != S.shape[1]:
         raise DataFormatError(f"{path}: expected a square numeric matrix, got {S.shape}")
     side = _sidecar(path)
-    meta = _read_json(side)
-    try:
-        n = int(meta["n"])
-    except KeyError:
-        raise DataFormatError(f"{side}: missing 'n'") from None
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{side}: 'n' must be an integer, got {meta['n']!r}") from None
+    n = _read_json(side).get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DataFormatError(f"{side}: 'n' must be an integer of at least 1, got {n!r}")
     try:
         return SampleCov(S, n)
     except ValueError as e:

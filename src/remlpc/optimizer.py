@@ -49,9 +49,6 @@ LOSS_TOL = 1e-13
 LOSS_PATIENCE = 3
 # ridge of the pooled initializer's normal equations, relative to their scale
 INIT_RIDGE = 1e-8
-# the initializer accumulates its normal equations over chunks of at most
-# this many observations, which bounds its working memory whatever n is
-INIT_CHUNK_ROWS = 1024
 # the curve regime's L-BFGS direction remembers at most this many (s, y) pairs
 CURVATURE_PAIRS = 5
 
@@ -109,32 +106,19 @@ def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, ridge: float):
     Off-diagonal products y_ij y_ij' are unbiased for the signal kernel
     at (t_ij, t_ij'), so no noise-variance correction is needed.  The
     normal equations over the M x M coefficient matrix use the pair-sum
-    factorization; a small ridge keeps them solvable for tiny samples.
+    factorization: all pairs, sum_i kron(P_i, P_i) and sum_i kron(v_i, v_i),
+    minus the diagonal pairs j = j', the batches' D and d.  A small ridge
+    keeps them solvable for tiny samples.
     """
-    if all(Phi.shape[1] < 2 for _, Phi, _ in batches.groups):
+    if (batches.m < 2).all():
         raise ValueError(
             "no curve has two or more observations; the pooled initializer needs off-diagonal pairs"
         )
     MM = M * M
-    AtA = np.zeros((MM, MM))
-    Atb = np.zeros(MM)
-    for _, Phi, y in batches.groups:
-        m = Phi.shape[1]
-        if m < 2:  # a single point has no pairs; its terms cancel exactly
-            continue
-        step = max(1, INIT_CHUNK_ROWS // m)
-        for lo in range(0, Phi.shape[0], step):
-            Pc, yc = Phi[lo : lo + step], y[lo : lo + step]
-            # sum_g kron(P_g, P_g) with P_g = Phi_g^T Phi_g, as one GEMM
-            Pflat = np.einsum("gja,gjb->gab", Pc, Pc).reshape(-1, MM)
-            AtA += (Pflat.T @ Pflat).reshape(M, M, M, M).transpose(0, 2, 1, 3).reshape(MM, MM)
-            v = np.einsum("gja,gj->ga", Pc, yc)
-            Atb += (v.T @ v).reshape(MM)
-            # minus the diagonal pairs j = j': rows kron(phi_j, phi_j)
-            rows = Pc.reshape(-1, M)
-            K = np.einsum("pa,pb->pab", rows, rows).reshape(-1, MM)
-            AtA -= K.T @ K
-            Atb -= K.T @ (yc.reshape(-1) ** 2)
+    Pflat = batches.P.reshape(-1, MM)
+    AtA = (Pflat.T @ Pflat).reshape(M, M, M, M).transpose(0, 2, 1, 3).reshape(MM, MM)
+    AtA -= batches.D
+    Atb = (batches.v.T @ batches.v).reshape(MM) - batches.d
     scale = max(np.trace(AtA) / (M * M), 1.0)
     AtA[np.diag_indices_from(AtA)] += ridge * scale
     C = np.linalg.solve(AtA, Atb).reshape(M, M)
@@ -384,7 +368,8 @@ def step(
 
     Never increases the loss; returns theta unmoved (step size 0) once the
     gradient norm is below obj.grad_tol.  A trial whose geodesic cannot be
-    computed accurately is rejected like one that fails the Armijo test.
+    computed accurately, or whose loss cannot be factored, is rejected like
+    one that fails the Armijo test.
     `memory`, if given, takes the gradient at theta as the end of the step
     it holds, and holds the step accepted here.
     """
@@ -403,15 +388,16 @@ def step(
             memory.clear()
     t = t0
     # a trial so far out that its eigenvalues overflow has a NaN or infinite
-    # loss, which the Armijo test rejects without a warning
+    # loss, which the Armijo test rejects without a warning, or (on curves
+    # with m < r, whose G_i is then singular) a loss that cannot be factored
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for h in range(MAX_HALVINGS + 1):
             try:
                 cand = product_exp(theta, d, t)
-            except GeodesicError:
+                loss_t = obj.loss(cand)
+            except (GeodesicError, np.linalg.LinAlgError):
                 t *= STEP_SHRINK
                 continue
-            loss_t = obj.loss(cand)
             if loss_t <= loss0 + ARMIJO_C * t * slope:
                 if memory is not None:
                     memory.remember(theta.point.B, t, d, grad)

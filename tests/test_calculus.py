@@ -6,7 +6,7 @@ constraint while probing the closed forms.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_product_point, random_tangent, spiked_sample_cov
 from remlpc import calculus
@@ -17,6 +17,7 @@ from remlpc.model import (
     ModelParams,
     SampleCov,
     curve_batches,
+    functional_loss,
     marginal_cov,
     matrix_loss,
 )
@@ -28,6 +29,7 @@ from remlpc.stiefel import (
     TangentVector,
     canonical_inner,
     exp_map,
+    intrinsic_grad,
     product_exp,
     product_inner,
 )
@@ -142,6 +144,43 @@ def test_functional_gradient_matches_fd(M, r, m_lo, m_span, sigma2, s, seed):
                                      m_bounds=(m_lo, m_lo + m_span))
     theta = random_product_point(M, r, seed + 1)
     objective_fd_check(objective(data, basis, sigma2, s), theta, seed + 2)
+
+
+@settings(max_examples=40)
+@example(counts=[], M=4, r=3, extra=0, sigma2=0.25, s=1.0, seed=0)
+@given(counts=st.lists(st.integers(1, 12), max_size=12), extra=st.integers(1, 4), **SIZES)
+def test_curve_statistics_match_the_dense_likelihood(counts, M, r, extra, sigma2, s, seed):
+    # every draw has a curve with m = 1, one with m = r - 1 (m < r once
+    # r > 1) and one with m > M, next to the drawn ones
+    counts = [1, max(1, r - 1), M + extra, *counts]
+    rng = np.random.default_rng(seed)
+    curves = [CurveData(times=rng.uniform(0.0, 1.0, m), values=2.0 * rng.standard_normal(m))
+              for m in counts]
+    basis = make_basis(M)
+    batches = curve_batches(Dataset.functional(curves), basis)
+    theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
+    B, lam_eff = theta.point.B, s * theta.lam
+    params = ModelParams(M=M, r=r, B=theta.point, lam=theta.lam, sigma2=sigma2, s=s)
+    loss, F, gz = 0.0, np.zeros((M, r)), np.zeros(r)
+    for c in curves:
+        Phi = eval_basis(basis, c.times).T
+        cov = marginal_cov(params, Phi)
+        Siy = np.linalg.solve(cov, c.values)
+        loss += 0.5 * (c.values @ Siy + np.linalg.slogdet(cov)[1])
+        # dense derivative Phi (Sigma^-1 - Sigma^-1 y y^T Sigma^-1) Phi^T B diag(s lam)
+        W = np.linalg.inv(cov) - np.outer(Siy, Siy)
+        dF = Phi @ W @ Phi.T @ B * lam_eff
+        F += dF
+        gz += 0.5 * np.einsum("mk,mk->k", B, dF)
+    n = len(curves)
+    want_loss = loss / n
+    got_loss = functional_loss(B, theta.lam, sigma2, s, batches)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    got = calculus.grad_functional_raw(theta.point, theta.lam, sigma2, s, batches)
+    want_U = intrinsic_grad(theta.point, F / n).full()
+    assert np.max(np.abs(got.U.full() - want_U)) <= 1e-10 * max(1.0, np.max(np.abs(want_U)))
+    want_z = gz / n
+    assert np.max(np.abs(got.dzeta - want_z)) <= 1e-10 * max(1.0, np.max(np.abs(want_z)))
 
 
 def test_objective_grads_call_the_kernels(monkeypatch):

@@ -153,11 +153,17 @@ def test_out_of_range_flags_exit_64(tmp_path, curves_file, cov_file, params_file
     ("sidecar", "{not json"),
     ("sidecar", "[1, 2]"),
     ("sidecar", '{"n": null}'),
+    ("sidecar", '{"n": 2.5}'),
+    ("sidecar", '{"n": true}'),
+    ("sidecar", '{"n": "7"}'),
+    ("sidecar", '{"n": 0}'),
+    ("sidecar", '{"count": 7}'),
     ("params", "{oops"),
     ("params", "[1, 2]"),
     ("params", '{"M": null, "r": 1, "B": [[1.0]], "lambda": [1.0], "sigma2": 1.0}'),
-], ids=["sidecar-syntax", "sidecar-list", "sidecar-null-n", "params-syntax", "params-list",
-        "params-null-field"])
+], ids=["sidecar-syntax", "sidecar-list", "sidecar-null-n", "sidecar-float-n", "sidecar-bool-n",
+        "sidecar-string-n", "sidecar-zero-n", "sidecar-missing-n", "params-syntax",
+        "params-list", "params-null-field"])
 def test_malformed_json_exits_65_naming_the_file(tmp_path, cov_file, params_file, capsys,
                                                  target, text):
     cov, _ = cov_file
@@ -278,6 +284,20 @@ def test_dense_regime_fits_exactly_as_sparse(tmp_path, curves_file, capsys):
         assert cli.main(["fit", "--data", str(path), "--M", "4", "--r", "2", "--sigma2", "0.25",
                          "--regime", regime, "--out", str(outs[regime])]) == 0
     assert outs["sparse"].read_bytes() == outs["dense"].read_bytes()
+    capsys.readouterr()
+
+
+def test_fit_survives_a_trial_whose_loss_cannot_be_factored(tmp_path, capsys):
+    # a random-start restart tries a step with overflowing eigenvalues, at
+    # which the curves with m = 2 < r = 3 have a singular Woodbury system;
+    # that trial is rejected, it does not blame the data
+    truth = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=5)
+    data = sample_dataset(truth, "sparse", 512, (1, 8), sigma2=0.25, m_bounds=(2, 6))
+    path = tmp_path / "curves.csv"
+    cli.write_curves_csv(str(path), data)
+    rc = cli.main(["fit", "--data", str(path), "--M", "8", "--r", "3", "--sigma2", "0.25",
+                   "--restarts", "2", "--out", str(tmp_path / "fit.json")])
+    assert rc in (0, 2), capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -17,7 +17,6 @@ from remlpc.model import (
     canonicalize,
     curve_batches,
     functional_loss,
-    functional_terms,
     kernel_from_params,
     kernel_l2_distance,
     kl_divergence,
@@ -180,18 +179,14 @@ def test_dataset_validates_its_columns():
 
 
 def curve_batches_reference(data, basis):
-    """Per-curve grouping loop: curves by m ascending, file order within a group."""
-    sizes = {}
-    for i, c in enumerate(data.curves):
-        sizes.setdefault(c.m, []).append(i)
-    groups = []
-    for m in sorted(sizes):
-        idx = np.asarray(sizes[m], dtype=int)
-        t_flat = np.concatenate([data.curves[i].times for i in idx])
-        Phi = eval_basis(basis, t_flat).reshape(idx.size, m, basis.M)
-        y = np.stack([data.curves[i].values for i in idx])
-        groups.append((idx, Phi, y))
-    return groups
+    """Per-curve loop: each curve's P = Phi^T Phi, v = Phi^T y and q = y^T y."""
+    P, v, q = [], [], []
+    for c in data.curves:
+        Phi = eval_basis(basis, c.times)
+        P.append(Phi.T @ Phi)
+        v.append(Phi.T @ c.values)
+        q.append(c.values @ c.values)
+    return np.array(P), np.array(v), np.array(q)
 
 
 def same_bits(a, b):
@@ -212,27 +207,11 @@ def test_columnar_batches_match_the_per_curve_loop(counts, M, seed):
         assert same_bits(view.times, c.times) and same_bits(view.values, c.values)
     basis = make_basis(M)
     batches = curve_batches(data, basis)
-    reference = curve_batches_reference(data, basis)
-    assert batches.n == len(counts) and len(batches.groups) == len(reference)
-    for (idx, Phi, y), (idx_r, Phi_r, y_r) in zip(batches.groups, reference):
-        assert same_bits(idx, idx_r) and same_bits(Phi, Phi_r) and same_bits(y, y_r)
-
-
-def test_curve_batches_group_and_restore_order():
-    basis = make_basis(5)
-    params = toy_params(M=5)
-    data = toy_curves(40, basis, params, seed=3)
-    batches = curve_batches(data, basis)
-    seen = np.concatenate([idx for idx, _, _ in batches.groups])
-    assert sorted(seen.tolist()) == list(range(40))
-    # per-curve terms must come back in the original curve order
-    terms = functional_terms(params.B.B, params.lam, params.sigma2, params.s, batches)
-    for idx, Phi, y in batches.groups:
-        for k, i in enumerate(idx):
-            cov = marginal_cov(params, Phi[k].T)
-            sign, logdet = np.linalg.slogdet(cov)
-            quad = y[k] @ np.linalg.solve(cov, y[k])
-            assert abs(terms[i] - 0.5 * (quad + logdet)) < 1e-10
+    P, v, q = curve_batches_reference(data, basis)
+    assert batches.n == len(counts) and batches.m.tolist() == counts
+    for got, want in ((batches.P, P), (batches.v, v), (batches.q, q)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 # ------------------------------------------------------- likelihood pieces
@@ -273,7 +252,11 @@ def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, 
     theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
     params = params_at(theta, sigma2, s)
     obj = objective(data, basis, sigma2, s)
-    terms = functional_terms(theta.point.B, theta.lam, sigma2, s, obj.batches)
+    # each curve's term is the loss of that curve alone
+    terms = np.array([
+        functional_loss(theta.point.B, theta.lam, sigma2, s,
+                        curve_batches(Dataset(c.times, c.values, [0, c.m]), basis))
+        for c in data.curves])
     dense = []
     for c in data.curves:
         cov = marginal_cov(params, eval_basis(basis, c.times).T)

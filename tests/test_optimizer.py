@@ -166,6 +166,19 @@ def test_failed_geodesic_is_a_rejected_trial(monkeypatch, k):
     assert info.loss == obj.loss(moved) < obj.loss(theta)
 
 
+def overflowing_trial_design():
+    # the first random-start restart tries a step at which every lam is
+    # inf; curves with m = 2 < r = 3 then have a singular G_i
+    truth = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=5)
+    return sample_dataset(truth, "sparse", 512, (1, 8), sigma2=0.25, m_bounds=(2, 6))
+
+
+def test_trial_whose_loss_cannot_be_factored_is_rejected():
+    res = fit(overflowing_trial_design(), make_basis(8), 3, 0.25)
+    assert np.isfinite(res.params.B.B).all() and np.isfinite(res.params.lam).all()
+    assert res.stop_reason == "grad-tol" and res.converged
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper; returns the list of its calls."""
     fn, calls = getattr(module, name), []
@@ -397,21 +410,21 @@ def test_requested_rank_validated():
         fit(SampleCov(S, 100), None, 7, 1.0)
 
 
-def pooled_fit_reference(batches, M, r, ridge):
+def pooled_fit_reference(data, basis, r, ridge):
     """The pooled initializer as one kron per curve and one per point."""
+    M = basis.M
     AtA = np.zeros((M * M, M * M))
     Atb = np.zeros(M * M)
-    for _, Phi, y in batches.groups:
-        for g in range(Phi.shape[0]):
-            P = Phi[g].T @ Phi[g]
-            v = Phi[g].T @ y[g]
-            AtA += np.kron(P, P)
-            Atb += np.kron(v, v)
-            for j in range(Phi.shape[1]):
-                pj = Phi[g, j]
-                outer = np.kron(pj, pj)
-                AtA -= np.outer(outer, outer)
-                Atb -= y[g, j] ** 2 * outer
+    for c in data.curves:
+        Phi = eval_basis(basis, c.times)
+        P = Phi.T @ Phi
+        v = Phi.T @ c.values
+        AtA += np.kron(P, P)
+        Atb += np.kron(v, v)
+        for pj, yj in zip(Phi, c.values):
+            outer = np.kron(pj, pj)
+            AtA -= np.outer(outer, outer)
+            Atb -= yj ** 2 * outer
     scale = max(np.trace(AtA) / (M * M), 1.0)
     AtA[np.diag_indices_from(AtA)] += ridge * scale
     C = np.linalg.solve(AtA, Atb).reshape(M, M)
@@ -429,7 +442,7 @@ def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed)
     rng = np.random.default_rng(seed)
     m_hi = m_lo + m_span
     # the m_hi group alone is longer than one chunk of the accumulation
-    per_m = optimizer.INIT_CHUNK_ROWS // m_hi + 7
+    per_m = model.CHUNK_ROWS // m_hi + 7
     ms = np.repeat(np.arange(m_lo, m_hi + 1), per_m)
     # curves y = Phi^T B xi + noise with score variances 3, 1.5, 0.6
     curve = np.repeat(np.arange(ms.size), ms)
@@ -440,9 +453,10 @@ def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed)
     y = mean + np.sqrt(0.2) * rng.standard_normal(curve.size)
     ends = np.cumsum(ms)[:-1]
     curves = [CurveData(times=tc, values=yc) for tc, yc in zip(np.split(t, ends), np.split(y, ends))]
-    batches = objective(Dataset.functional(curves), basis, 0.2).batches
+    data = Dataset.functional(curves)
+    batches = objective(data, basis, 0.2).batches
     point, lam = optimizer._pooled_fit_functional(batches, M, r, optimizer.INIT_RIDGE)
-    B_ref, lam_ref = pooled_fit_reference(batches, M, r, optimizer.INIT_RIDGE)
+    B_ref, lam_ref = pooled_fit_reference(data, basis, r, optimizer.INIT_RIDGE)
     assert np.all(np.abs(lam - lam_ref) <= 1e-10 * lam_ref)
     assert np.max(np.abs(point.B - B_ref)) <= 1e-10
 
@@ -463,25 +477,31 @@ def test_pooled_initializer_needs_pairs():
 def dense_design(M, r, extra, sigma2, seed, per_group):
     """Curves drawn from the model in groups g of per_group curves, each
     with m_g = M + extra[g] points and the orthonormal design Phi_i = Q_g
-    (m_g x M).  Returns their batches, S_bar = (1/n) sum_i Q_g^T y_i y_i^T Q_g
-    and const = 0.5 mean_i(|y_i - Q_g Q_g^T y_i|^2 / sigma2 + (m_i - M) log sigma2)."""
+    (m_g x M).  Returns their batches (P_i = I, v_i = Q_g^T y_i), S_bar =
+    (1/n) sum_i Q_g^T y_i y_i^T Q_g and const = 0.5 mean_i(|y_i - Q_g Q_g^T
+    y_i|^2 / sigma2 + (m_i - M) log sigma2)."""
     rng = np.random.default_rng(seed)
     B = random_orthonormal(M, r, seed + 1).B
     signal = sigma2 * np.linspace(6.0, 3.0, r)  # the truth's s * lam
-    groups, S_bar, const, start = [], np.zeros((M, M)), 0.0, 0
+    v, q, m, D, d = [], [], [], 0.0, 0.0
+    S_bar, const = np.zeros((M, M)), 0.0
     for e in extra:
-        m = M + e
-        Q, _ = np.linalg.qr(rng.standard_normal((m, M)))
+        Q, _ = np.linalg.qr(rng.standard_normal((M + e, M)))
         xi = rng.standard_normal((per_group, r)) * np.sqrt(signal)
-        y = (xi @ B.T) @ Q.T + np.sqrt(sigma2) * rng.standard_normal((per_group, m))
+        y = (xi @ B.T) @ Q.T + np.sqrt(sigma2) * rng.standard_normal((per_group, M + e))
         z = y @ Q
         S_bar += z.T @ z
         const += np.sum((y - z @ Q.T) ** 2) / sigma2 + per_group * e * np.log(sigma2)
-        idx = np.arange(start, start + per_group)
-        groups.append((idx, np.broadcast_to(Q, (per_group, m, M)).copy(), y))
-        start += per_group
-    n = start
-    return model.CurveBatches(n=n, groups=tuple(groups)), S_bar / n, 0.5 * const / n
+        v.append(z)
+        q.append(np.sum(y * y, axis=1))
+        m += [M + e] * per_group
+        K = np.einsum("ja,jb->jab", Q, Q).reshape(-1, M * M)
+        D = D + per_group * (K.T @ K)
+        d = d + K.T @ np.sum(y * y, axis=0)
+    n = len(m)
+    P = np.broadcast_to(np.eye(M), (n, M, M)).copy()
+    batches = model.CurveBatches(P, np.vstack(v), np.concatenate(q), np.array(m), D, d)
+    return batches, S_bar / n, 0.5 * const / n
 
 
 @settings(max_examples=25)
