@@ -18,10 +18,9 @@ from .model import (
     CurveData,
     Dataset,
     DegenerateSpectrumError,
-    KernelFn,
+    Kernel,
     ModelParams,
     SampleCov,
-    TrueKernel,
     canonicalize,
     kernel_from_params,
     kernel_l2_distance,

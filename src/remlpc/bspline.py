@@ -116,11 +116,12 @@ def eval_basis(basis: OrthoBasis, t) -> np.ndarray:
 def project_function(basis: OrthoBasis, f) -> np.ndarray:
     """Coefficients of the L2 projection of f onto the orthonormal basis.
 
-    Uses a composite 24-point Gauss-Legendre rule per knot interval,
-    which integrates smooth integrands to near machine accuracy.
+    f maps k points to values (k,) or (k, r); the coefficients are (M,)
+    or (M, r).  Uses a composite 24-point Gauss-Legendre rule per knot
+    interval, which integrates smooth integrands to near machine accuracy.
     """
     nodes, weights = _gauss_nodes(basis.breakpoints, 24)
     fv = np.asarray(f(nodes), dtype=float)
-    if fv.shape != nodes.shape:
-        raise ValueError("function must map a 1-d array to a 1-d array of values")
-    return eval_basis(basis, nodes).T @ (weights * fv)
+    if fv.ndim not in (1, 2) or fv.shape[0] != nodes.size:
+        raise ValueError("function must map k points to values of shape (k,) or (k, r)")
+    return eval_basis(basis, nodes).T @ (weights * fv.T).T

@@ -100,13 +100,14 @@ def _pooled_pca_matrix(S: np.ndarray, r: int, sigma2: float, s: float):
     return StiefelPoint(B0), _strictly_decreasing(lam0)
 
 
-def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, ridge: float):
+def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, s: float, ridge: float):
     """Least-squares fit of off-diagonal raw products onto the tensor basis.
 
     Off-diagonal products y_ij y_ij' are unbiased for the signal kernel
-    at (t_ij, t_ij'), so no noise-variance correction is needed.  The
-    normal equations over the M x M coefficient matrix use the pair-sum
-    factorization: all pairs, sum_i kron(P_i, P_i) and sum_i kron(v_i, v_i),
+    s K(t_ij, t_ij'), so no noise-variance correction is needed, and the
+    start divides the fitted eigenvalues by s.  The normal equations over
+    the M x M coefficient matrix use the pair-sum factorization:
+    all pairs, sum_i kron(P_i, P_i) and sum_i kron(v_i, v_i),
     minus the diagonal pairs j = j', the batches' D and d.  A small ridge
     keeps them solvable for tiny samples.
     """
@@ -125,7 +126,7 @@ def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, ridge: float):
     C = 0.5 * (C + C.T)
     evals, evecs = np.linalg.eigh(C)
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    lam0 = np.maximum(evals[:r], _EIG_FLOOR)
+    lam0 = np.maximum(evals[:r] / s, _EIG_FLOOR)
     B0, lam0 = canonicalize(evecs[:, :r], lam0)
     return StiefelPoint(B0), _strictly_decreasing(lam0)
 
@@ -167,7 +168,7 @@ class FunctionalObjective:
         )
 
     def pooled_start(self, r: int):
-        return _pooled_fit_functional(self.batches, self.M, r, INIT_RIDGE)
+        return _pooled_fit_functional(self.batches, self.M, r, self.s, INIT_RIDGE)
 
 
 @dataclass(frozen=True)

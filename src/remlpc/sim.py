@@ -16,9 +16,9 @@ from . import matrixcase, optimizer
 from .bspline import OrthoBasis, eval_basis, make_basis
 from .model import (
     Dataset,
+    Kernel,
     ModelParams,
     SampleCov,
-    TrueKernel,
     canonicalize,
     kernel_from_params,
     kernel_l2_distance,
@@ -46,7 +46,7 @@ def make_true_kernel(
     eigenvalues,
     M_ref: int = 4,
     seed: int = 0,
-) -> TrueKernel:
+) -> Kernel:
     """A data-generating kernel with closed-form orthonormal eigenfunctions.
 
     family 'fourier': sqrt(2) sin / cos pairs of increasing frequency.
@@ -58,14 +58,13 @@ def make_true_kernel(
     lam = np.asarray(eigenvalues, dtype=float)
     r = lam.size
     if family == "fourier":
+        freq = 2.0 * np.pi * (np.arange(r) // 2 + 1)
+        is_sin = np.arange(r) % 2 == 0
 
-        def component(k):
-            freq = 2.0 * np.pi * ((k // 2) + 1)
-            if k % 2 == 0:
-                return lambda t: np.sqrt(2.0) * np.sin(freq * np.asarray(t, dtype=float))
-            return lambda t: np.sqrt(2.0) * np.cos(freq * np.asarray(t, dtype=float))
+        def eigenfunctions(t):
+            ft = np.multiply.outer(np.asarray(t, dtype=float), freq)
+            return np.sqrt(2.0) * np.where(is_sin, np.sin(ft), np.cos(ft))
 
-        fns = [component(k) for k in range(r)]
     elif family == "spline":
         basis = make_basis(M_ref)
         if r > M_ref:
@@ -74,13 +73,15 @@ def make_true_kernel(
         Q, _ = np.linalg.qr(Z)
         Q, _ = canonicalize(Q, np.arange(r, 0, -1).astype(float))
 
-        def component(k):
-            return lambda t: eval_basis(basis, np.atleast_1d(np.asarray(t, dtype=float))) @ Q[:, k]
+        def eigenfunctions(t):
+            Phi = eval_basis(basis, t)
+            # column by column, not Phi @ Q, which rounds differently and
+            # would move every simulated value in the last bits
+            return np.stack([Phi @ Q[:, k] for k in range(r)], axis=1)
 
-        fns = [component(k) for k in range(r)]
     else:
         raise ValueError(f"unknown kernel family {family!r}")
-    kernel = TrueKernel(eigenvalues=lam, eigenfunctions=tuple(fns))
+    kernel = Kernel(eigenvalues=lam, eigenfunctions=eigenfunctions)
     kernel.check_orthonormal()
     return kernel
 
@@ -97,7 +98,7 @@ def sample_dataset(
 ) -> Dataset | SampleCov:
     """Draw one synthetic dataset.
 
-    Functional regimes need a TrueKernel plus either m_bounds (sparse,
+    Functional regimes need a Kernel truth plus either m_bounds (sparse,
     per-curve count uniform on the closed range) or m (dense, common
     count) and return a curve Dataset.  The matrix regime needs a
     ModelParams truth and returns the SampleCov of n Gaussian vectors.
@@ -117,8 +118,8 @@ def sample_dataset(
         eta = rng.standard_normal((n, truth.M))
         Y = xi @ (np.sqrt(truth.s * lam)[:, None] * B.T) + np.sqrt(truth.sigma2) * eta
         return SampleCov(Y.T @ Y / n, n)
-    if not isinstance(truth, TrueKernel):
-        raise ValueError("functional regimes need a TrueKernel truth")
+    if not isinstance(truth, Kernel):
+        raise ValueError("functional regimes need a Kernel truth")
     if regime == "sparse":
         counts = rng.integers(m_bounds[0], m_bounds[1] + 1, size=n)
     elif regime == "dense":
@@ -134,7 +135,7 @@ def sample_dataset(
         xi[i] = rng.standard_normal(truth.rank)
         eps[a:b] = rng.standard_normal(b - a)
     # one vectorized eigenfunction sweep over the pooled design points
-    F = np.stack([f(t) for f in truth.eigenfunctions], axis=1)
+    F = truth.eigenfunctions(t)
     scores = np.sqrt(truth.eigenvalues) * xi
     signal = np.concatenate([np.empty(0), *(F[a:b] @ scores[i] for i, (a, b) in bounds)])
     return Dataset(t, signal + np.sqrt(sigma2) * eps, offsets)
@@ -294,7 +295,7 @@ def rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateResult:
         else:
             basis = make_basis(schedule_M(config.M_schedule, n))
             frame, lam_star, betas[n] = optimal_parameter(truth, basis, config.r)
-            Bstar, truth_eval = frame.B, truth.evaluator()
+            Bstar = frame.B
         cell = []
         for rep in range(config.replicates):
             data = sample_dataset(
@@ -319,9 +320,7 @@ def rate_experiment(config: ExperimentConfig, threads: int = 1) -> RateResult:
                 "eigenvalue_error": float(np.linalg.norm(res.params.lam - lam_star)),
             }
             if basis is not None:
-                row["kernel_l2"] = kernel_l2_distance(
-                    kernel_from_params(res.params, basis), truth_eval
-                )
+                row["kernel_l2"] = kernel_l2_distance(kernel_from_params(res.params, basis), truth)
             cell.append(row)
         for key in loss_keys:
             medians[(n, key)] = float(np.median([row[key] for row in cell]))

@@ -117,6 +117,9 @@ def test_projection_reproduces_span_member():
     f = lambda t: eval_basis(b, t) @ coef
     c = project_function(b, lambda t: f(np.atleast_1d(t)).ravel())
     assert np.max(np.abs(c - coef)) < 1e-12
+    # a map to (k, 2) arrays projects each column
+    C = project_function(b, lambda t: np.stack([f(t), -2.0 * f(t)], axis=1))
+    assert np.max(np.abs(C - np.stack([coef, -2.0 * coef], axis=1))) < 1e-12
 
 
 def test_projection_sup_error_decays_fast():

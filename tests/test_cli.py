@@ -62,6 +62,14 @@ def test_curves_csv_keeps_first_appearance_order(tmp_path):
     assert np.array_equal(d.curves[1].values, [2.0])
 
 
+def test_curves_csv_accepts_both_ends_of_the_interval(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("curve_id,t,y\na,0.0,1.0\na,1.0,2.0\nb,0,3.0\nb,1,4.0\n")
+    d = cli.read_curves_csv(str(p))
+    assert np.array_equal(d.t, [0.0, 1.0, 0.0, 1.0])
+    assert np.array_equal(d.y, [1.0, 2.0, 3.0, 4.0])
+
+
 def test_cov_csv_roundtrip_with_sidecar(cov_file, tmp_path):
     path, S = cov_file
     assert (tmp_path / "cov.json").exists()

@@ -10,9 +10,9 @@ from remlpc.model import (
     CurveData,
     Dataset,
     DegenerateSpectrumError,
+    Kernel,
     ModelParams,
     SampleCov,
-    TrueKernel,
     batched_cholesky,
     canonicalize,
     curve_batches,
@@ -356,22 +356,37 @@ def test_kl_divergence_zero_at_equal_and_matches_dense():
 def test_kernel_distance_orthonormal_ranks():
     # K1 = a f1 f1', K2 = b f2 f2' with orthonormal f1, f2:
     # squared L2 distance is a^2 + b^2
-    truth = make_true_kernel("fourier", [1.0], seed=0)
-    f1 = truth.eigenfunctions[0]
-    t2 = make_true_kernel("fourier", [1.0, 0.5], seed=0)
-    f2 = t2.eigenfunctions[1]
-    k1 = TrueKernel([2.0], (f1,)).evaluator()
-    k2 = TrueKernel([1.5], (f2,)).evaluator()
+    F = make_true_kernel("fourier", [1.0, 0.5], seed=0).eigenfunctions
+    k1 = Kernel([2.0], lambda t: F(t)[:, :1])
+    k2 = Kernel([1.5], lambda t: F(t)[:, 1:])
     d = kernel_l2_distance(k1, k2)
     assert abs(d - np.sqrt(2.0**2 + 1.5**2)) < 1e-10
     assert kernel_l2_distance(k1, k1) < 1e-12
 
 
+@pytest.mark.parametrize("M", [5, 10])
+def test_kernel_distance_matches_coefficient_oracle(M):
+    # kernels in the span of one orthonormal basis are exactly
+    # B1 diag(lam1) B1^T - B2 diag(lam2) B2^T apart in coefficient space
+    basis = make_basis(M)
+    p1 = ModelParams(M=M, r=3, B=random_orthonormal(M, 3, 1), lam=[3.0, 1.2, 0.4], sigma2=1.0)
+    p2 = ModelParams(M=M, r=2, B=random_orthonormal(M, 2, 2), lam=[2.0, 0.9], sigma2=1.0)
+    C1 = (p1.B.B * p1.lam) @ p1.B.B.T
+    C2 = (p2.B.B * p2.lam) @ p2.B.B.T
+    exact = np.linalg.norm(C1 - C2)
+    d = kernel_l2_distance(kernel_from_params(p1, basis), kernel_from_params(p2, basis))
+    assert abs(d - exact) <= 1e-5 * exact
+
+
 def test_orthonormality_checker_flags_scaled_function():
-    truth = make_true_kernel("fourier", [1.0, 0.5], seed=0)
-    bad = TrueKernel([1.0], (lambda t: 2.0 * truth.eigenfunctions[0](t),))
-    with pytest.raises(ValueError):
-        bad.check_orthonormal()
+    F = make_true_kernel("fourier", [1.0, 0.5], seed=0).eigenfunctions
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Kernel([1.0], lambda t: 2.0 * F(t)[:, :1]).check_orthonormal()
+    # one eigenvalue too many for the map's two columns
+    with pytest.raises(ValueError, match="expected"):
+        Kernel([1.0, 0.5, 0.2], F).check_orthonormal()
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        Kernel([0.5, 1.0], F)
 
 
 def test_optimal_parameter_exact_for_nested_truth():
@@ -384,7 +399,7 @@ def test_optimal_parameter_exact_for_nested_truth():
     assert np.max(np.abs(lam - truth.eigenvalues)) < 1e-10
     # recovered kernel matches the truth in L2
     p = ModelParams(M=4, r=3, B=B, lam=lam, sigma2=1.0)
-    assert kernel_l2_distance(kernel_from_params(p, basis), truth.evaluator()) < 1e-8
+    assert kernel_l2_distance(kernel_from_params(p, basis), truth) < 1e-8
 
 
 def test_optimal_parameter_bias_shrinks_with_basis():

@@ -385,6 +385,29 @@ def test_restarts_pick_best_loss():
     ]
     # the multi-restart winner can only improve on the first start
     assert res.loss <= single[0].loss + 1e-12
+    # restart k starts from (seed, k) alone, so k restarts keep the best of
+    # the first k; cut at 3 iterations, the three end at different losses
+    # and restart 1 ends lowest
+    best = [fit(data, basis, 2, 0.3, 1.0, FitConfig(init="random", restarts=k, seed=5,
+                                                    max_iter=3)) for k in (1, 2, 3)]
+    assert best[0].loss > best[1].loss == best[2].loss
+    assert [b.restart_index for b in best] == [0, 1, 1]
+    assert best[2].loss == best[2].trace[-1]
+
+
+def test_pooled_start_does_not_depend_on_s():
+    # the loss sees lam only through s * lam, so the curve start's s * lam,
+    # and with it the descent, must not depend on s
+    truth = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=4, seed=5)
+    data = sample_dataset(truth, "sparse", 1024, (1, 1024, 0), sigma2=0.25, m_bounds=(2, 10))
+    basis = make_basis(8)
+    start, res = {}, {}
+    for s in (1.0, 0.1):
+        start[s] = s * init_params(objective(data, basis, 0.25, s), 3, "pooled-pca", None).lam
+        res[s] = fit(data, basis, 3, 0.25, s, FitConfig(restarts=1))
+    assert np.allclose(start[0.1], start[1.0], rtol=1e-12, atol=0.0)
+    assert res[0.1].converged and abs(res[0.1].n_iter - res[1.0].n_iter) <= 2
+    assert np.allclose(0.1 * res[0.1].params.lam, res[1.0].params.lam, rtol=1e-6, atol=0.0)
 
 
 def test_init_params_shapes_and_floor():
@@ -455,7 +478,7 @@ def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed)
     curves = [CurveData(times=tc, values=yc) for tc, yc in zip(np.split(t, ends), np.split(y, ends))]
     data = Dataset.functional(curves)
     batches = objective(data, basis, 0.2).batches
-    point, lam = optimizer._pooled_fit_functional(batches, M, r, optimizer.INIT_RIDGE)
+    point, lam = optimizer._pooled_fit_functional(batches, M, r, 1.0, optimizer.INIT_RIDGE)
     B_ref, lam_ref = pooled_fit_reference(data, basis, r, optimizer.INIT_RIDGE)
     assert np.all(np.abs(lam - lam_ref) <= 1e-10 * lam_ref)
     assert np.max(np.abs(point.B - B_ref)) <= 1e-10

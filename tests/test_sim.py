@@ -33,6 +33,11 @@ TINY_MATRIX = ExperimentConfig(
 def test_true_kernel_families():
     four = make_true_kernel("fourier", [2.0, 1.0, 0.5], seed=0)
     assert four.check_orthonormal() < 1e-10
+    # one map, bit for bit the closed form of each column
+    t = np.linspace(0.0, 1.0, 37)
+    F = four.eigenfunctions(t)
+    for k, trig in enumerate((np.sin, np.cos, np.sin)):
+        assert np.array_equal(F[:, k], np.sqrt(2.0) * trig(2.0 * np.pi * (k // 2 + 1) * t))
     spl = make_true_kernel("spline", [2.0, 1.0], M_ref=5, seed=1)
     # global quadrature over the piecewise-cubic kinks limits resolution
     assert spl.check_orthonormal() < 1e-8

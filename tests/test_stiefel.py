@@ -236,6 +236,15 @@ def test_skew_exp_accurate_at_extreme_norms():
         assert np.max(np.abs(step - (expm(tiny) - np.eye(6)))) < 1e-14 * 1e-9
 
 
+def test_exponential_of_a_non_unitary_eigensystem_is_rejected():
+    # V is no eigenvector basis of a Hermitian matrix, so I + V diag(.) V^H
+    # is not orthogonal; the check itself must catch it
+    w = np.array([1.0, -1.0])
+    V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(stiefel.GeodesicError, match="lost orthogonality"):
+        stiefel._exp_from_eigh(w, V, 0.5)
+
+
 def test_product_exp_moves_both_blocks():
     theta = random_product_point(6, 2, 18)
     U = random_tangent(theta.point, 19)
