@@ -28,7 +28,7 @@ from .model import (
     marginal_cov,
     optimal_parameter,
 )
-from .optimizer import FitConfig, FitResult, FunctionalObjective, MatrixObjective, fit, init_params, objective, step
+from .optimizer import FitConfig, FitResult, FunctionalObjective, MatrixObjective, fit, init_params, normalized_point, objective, step
 from .sim import (
     ExperimentConfig,
     design_concentration,

@@ -1,10 +1,9 @@
 """Gradients, Hessians and score quantities of the covariance losses.
 
-The matrix-regime loss  tr(Gamma^-1 S) + log det Gamma  admits closed
-forms on the normalized scale sigma2 = s = 1, where the population
-covariance is I + B diag(lam) B^T.  General scales reduce to that case
-through (S, lam) -> (S / sigma2, lam * s / sigma2), which leaves the
-frame gradient and the log-eigenvalue gradient unchanged.
+Every kernel here knows only the normalized scale sigma2 = s = 1, where
+the matrix-regime loss  tr(Gamma^-1 S) + log det Gamma  has population
+covariance I + B diag(lam) B^T and closed forms.  `optimizer.objective`
+reduces a general scale to it: (S, lam) -> (S / sigma2, s lam / sigma2).
 
 The functional-regime gradient averages per-curve Woodbury terms; the
 frame part is returned already projected to the tangent space.
@@ -30,12 +29,6 @@ class NearDegenerateError(ValueError):
     """Eigenvalue gaps too small for the inverse-Hessian formulas."""
 
 
-def rescaled(theta: ProductPoint, Stilde: np.ndarray, sigma2: float, s: float):
-    """Map a general-scale problem to the normalized sigma2 = s = 1 scale."""
-    shift = np.log(s) - np.log(sigma2)
-    return ProductPoint(theta.point, theta.zeta + shift), Stilde / sigma2
-
-
 def _frame_grad(point: StiefelPoint, SB: np.ndarray, w: np.ndarray) -> TangentVector:
     """The tangent 2 (B diag(w) B^T S~ B - S~ B diag(w)), built from its blocks.
 
@@ -49,10 +42,9 @@ def _frame_grad(point: StiefelPoint, SB: np.ndarray, w: np.ndarray) -> TangentVe
 def grad_B_scaled(theta_n: ProductPoint, SB: np.ndarray) -> TangentVector:
     """Frame gradient of the normalized loss from the product SB = S~ B.
 
-    theta_n and S~ are on the normalized scale (see `rescaled`); a caller
-    that evaluates one problem at many points rescales S once and shares
-    each point's SB between this and `grad_zeta_scaled`.  The closed form
-    is the canonical gradient F - B F^T B of the Euclidean derivative
+    A caller that evaluates one problem at many points shares each point's
+    SB between this and `grad_zeta_scaled`.  The closed form is the
+    canonical gradient F - B F^T B of the Euclidean derivative
     F = -2 S~ B Q^{-1}, whose skew and normal blocks it builds directly.
     """
     lam = theta_n.lam
@@ -190,30 +182,29 @@ def score_delta(
 
 
 def grad_functional_raw(
-    point: StiefelPoint, lam: np.ndarray, sigma2: float, s: float, batches: CurveBatches
+    point: StiefelPoint, lam: np.ndarray, batches: CurveBatches
 ) -> ProductTangent:
     """Gradient of the functional-regime loss at frame `point`, eigenvalues `lam`.
 
     The Euclidean frame derivative of the loss is
-    F = (sum_i P_i B G_i^-1 - (sum_i a_i a_i^T) B diag(lam_eff)) / n  with
-    a_i = Phi_i^T Sigma_i^-1 y_i = (v_i - P_i B u_i) / sigma2 and
+    F = (sum_i P_i B G_i^-1 - (sum_i a_i a_i^T) B diag(lam)) / n  with
+    a_i = Phi_i^T Sigma_i^-1 y_i = v_i - P_i B u_i and
     u_i = G_i^-1 B^T v_i; it is projected to the tangent space.  The zeta
     part is its exact diagonal counterpart, the mean over curves of
-    (diag(H_i G_i^-1) - lam_eff (B^T a_i)^2) / 2.  No m x m matrix is formed.
+    (diag(H_i G_i^-1) - lam (B^T a_i)^2) / 2.  No m x m matrix is formed.
     """
     B = point.B
-    lam_eff = s * lam
     M, r = B.shape
     n = batches.n
-    H, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
+    H, Xty, L = curve_factors(B, lam, batches)
     Linv = lower_solve(L, np.broadcast_to(np.eye(r), L.shape))
     Ginv = np.einsum("nki,nkj->nij", Linv, Linv)
     u = (Ginv @ Xty[:, :, None])[:, :, 0]
-    a = (batches.v - np.einsum("nab,nb->na", batches.P, u @ B.T)) / sigma2
+    a = batches.v - np.einsum("nab,nb->na", batches.P, u @ B.T)
     # sum_i P_i B G_i^-1 from W = sum_i vec(P_i) vec(G_i^-1)^T, one GEMM
     W = (batches.P.reshape(n, M * M).T @ Ginv.reshape(n, r * r)).reshape(M, M, r, r)
     PBG = np.einsum("abkl,bk->al", W, B)
-    F = (PBG - ((a.T @ a) @ B) * lam_eff) / n
-    z = np.einsum("nkl,nlk->k", H, Ginv) - lam_eff * np.sum((a @ B) ** 2, axis=0)
+    F = (PBG - ((a.T @ a) @ B) * lam) / n
+    z = np.einsum("nkl,nlk->k", H, Ginv) - lam * np.sum((a @ B) ** 2, axis=0)
     gz = z / (2.0 * n)
     return ProductTangent(intrinsic_grad(point, F), gz)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcase, optimizer, sim
 from .bspline import OrthoBasis, eval_basis, make_basis
-from .model import Dataset, ModelParams, SampleCov, matrix_loss
+from .model import Dataset, ModelParams, SampleCov
 
 EXIT_OK = 0
 EXIT_NOCONV = 2
@@ -380,7 +380,8 @@ def _cmd_pca(args) -> int:
         raise DataFormatError(f"{args.data}: {e}") from None
     if args.out:
         write_params_json(args.out, params)
-    loss = matrix_loss(params.B.B, params.lam, params.sigma2, params.s, data.cov)
+    obj = optimizer.objective(data, None, args.sigma2, args.s)
+    loss = obj.loss(optimizer.normalized_point(params))
     _say(args, f"loss={_fmt(loss)} lambda={','.join(_fmt(v) for v in params.lam)}")
     return EXIT_OK
 

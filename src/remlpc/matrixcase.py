@@ -71,9 +71,9 @@ def reml_equals_pca(
     if config is None:
         config = optimizer.FitConfig(init="random", restarts=2, grad_tol=1e-9)
     pca = pca_fit(S, r, sigma2, s)
-    theta = ProductPoint(pca.B, np.log(pca.lam))
-    gnorm = optimizer.MatrixObjective(S, sigma2, s).grad(theta).norm()
-    res = optimizer.fit(SampleCov(S, n), None, r, sigma2, s, config)
+    data = SampleCov(S, n)
+    gnorm = optimizer.objective(data, None, sigma2, s).grad(optimizer.normalized_point(pca)).norm()
+    res = optimizer.fit(data, None, r, sigma2, s, config)
     dB = float(np.linalg.norm(res.params.B.B - pca.B.B))
     dlam = float(np.linalg.norm(res.params.lam - pca.lam))
     return PcaAgreement(

@@ -9,6 +9,9 @@ signal scale s):
   + sigma2 I;
 * matrix (a `SampleCov`): a single M x M sample covariance with
   population value  s * B diag(lam) B^T + sigma2 I.
+
+The loss kernels know only the normalized scale sigma2 = s = 1, to which
+`optimizer.objective` reduces the data: y / sqrt(sigma2) or S / sigma2.
 """
 
 from __future__ import annotations
@@ -273,13 +276,13 @@ def lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def curve_factors(
-    B: np.ndarray, lam_eff: np.ndarray, sigma2: float, batches: CurveBatches
+    B: np.ndarray, lam: np.ndarray, batches: CurveBatches
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rank-r Woodbury systems of every curve, factored in one pass.
 
-    Curve i's marginal covariance is sigma2 I + X_i diag(lam_eff) X_i^T
-    with X_i = Phi_i B; its inverse and determinant reduce to the r x r
-    matrix G_i = H_i + sigma2 diag(1 / lam_eff), H_i = X_i^T X_i = B^T P_i B.
+    Curve i's marginal covariance is I + X_i diag(lam) X_i^T with
+    X_i = Phi_i B; its inverse and determinant reduce to the r x r
+    matrix G_i = H_i + diag(1 / lam), H_i = X_i^T X_i = B^T P_i B.
     Returns H, X^T y = B^T v and the Cholesky factors of G, stacked over
     the curves.
     """
@@ -287,34 +290,29 @@ def curve_factors(
     # vec(B^T P_i B) = vec(P_i) kron(B, B) for every curve, as one GEMM
     H = (batches.P.reshape(-1, M * M) @ np.kron(B, B)).reshape(-1, r, r)
     G = H.copy()
-    G.reshape(-1, r * r)[:, :: r + 1] += sigma2 / lam_eff
+    G.reshape(-1, r * r)[:, :: r + 1] += 1.0 / lam
     return H, batches.v @ B, batched_cholesky(G)
 
 
-def functional_loss(
-    B: np.ndarray, lam: np.ndarray, sigma2: float, s: float, batches: CurveBatches
-) -> float:
+def functional_loss(B: np.ndarray, lam: np.ndarray, batches: CurveBatches) -> float:
     """The functional negative log likelihood, averaged over curves.
 
     Uses the rank-r downdate of each marginal covariance, so no m x m
     factorization is formed; the per-curve terms are summed in curve order.
     """
-    r = B.shape[1]
-    lam_eff = s * lam
-    _, Xty, L = curve_factors(B, lam_eff, sigma2, batches)
+    _, Xty, L = curve_factors(B, lam, batches)
     logdetG = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
     z = lower_solve(L, Xty[:, :, None])[:, :, 0]
-    quad = (batches.q - np.einsum("gi,gi->g", z, z)) / sigma2
-    logdet = (batches.m - r) * np.log(sigma2) + logdetG + np.sum(np.log(lam_eff))
+    quad = batches.q - np.einsum("gi,gi->g", z, z)
+    logdet = logdetG + np.sum(np.log(lam))
     return float(np.sum(0.5 * (quad + logdet)) / batches.n)
 
 
-def matrix_loss(B: np.ndarray, lam: np.ndarray, sigma2: float, s: float, S: np.ndarray) -> float:
-    M, r = B.shape
-    G = sigma2 / (s * lam) + 1.0
+def matrix_loss(B: np.ndarray, lam: np.ndarray, S: np.ndarray) -> float:
+    G = 1.0 / lam + 1.0
     BtSB = B.T @ S @ B
-    tr_term = (np.trace(S) - np.sum(np.diag(BtSB) / G)) / sigma2
-    logdet = (M - r) * np.log(sigma2) + np.sum(np.log(s * lam + sigma2))
+    tr_term = np.trace(S) - np.sum(np.diag(BtSB) / G)
+    logdet = np.sum(np.log(lam + 1.0))
     return float(tr_term + logdet)
 
 

@@ -90,24 +90,26 @@ def _strictly_decreasing(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pooled_pca_matrix(S: np.ndarray, r: int, sigma2: float, s: float):
-    evals, evecs = np.linalg.eigh(S)
+def _top_eigenpairs(C: np.ndarray, r: int, shift: float, floor: float, full_rank: bool = False):
+    """A start from the top-r eigenpairs of the symmetric C, eigenvalues less shift,
+    floored, canonicalized and strictly decreasing; full_rank needs rank(C) >= r."""
+    evals, evecs = np.linalg.eigh(C)
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    if evals[r - 1] <= max(evals[0], 1.0) * 1e-12:
+    if full_rank and evals[r - 1] <= max(evals[0], 1.0) * 1e-12:
         raise ValueError(f"sample covariance has numerical rank below r={r}")
-    lam0 = np.maximum((evals[:r] - sigma2) / s, _EIG_FLOOR)
+    lam0 = np.maximum(evals[:r] - shift, floor)
     B0, lam0 = canonicalize(evecs[:, :r], lam0)
     return StiefelPoint(B0), _strictly_decreasing(lam0)
 
 
-def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, s: float, ridge: float):
+def _pooled_fit_functional(batches: CurveBatches, r: int, floor: float):
     """Least-squares fit of off-diagonal raw products onto the tensor basis.
 
     Off-diagonal products y_ij y_ij' are unbiased for the signal kernel
-    s K(t_ij, t_ij'), so no noise-variance correction is needed, and the
-    start divides the fitted eigenvalues by s.  The normal equations over
-    the M x M coefficient matrix use the pair-sum factorization:
-    all pairs, sum_i kron(P_i, P_i) and sum_i kron(v_i, v_i),
+    s K(t_ij, t_ij') / sigma2 on the normalized scale, so no noise-variance
+    correction is needed; the start is its top-r eigenpairs.  The normal
+    equations over its M x M coefficient matrix use the pair-sum
+    factorization: all pairs, sum_i kron(P_i, P_i) and sum_i kron(v_i, v_i),
     minus the diagonal pairs j = j', the batches' D and d.  A small ridge
     keeps them solvable for tiny samples.
     """
@@ -115,20 +117,16 @@ def _pooled_fit_functional(batches: CurveBatches, M: int, r: int, s: float, ridg
         raise ValueError(
             "no curve has two or more observations; the pooled initializer needs off-diagonal pairs"
         )
+    M = batches.P.shape[1]
     MM = M * M
     Pflat = batches.P.reshape(-1, MM)
     AtA = (Pflat.T @ Pflat).reshape(M, M, M, M).transpose(0, 2, 1, 3).reshape(MM, MM)
     AtA -= batches.D
     Atb = (batches.v.T @ batches.v).reshape(MM) - batches.d
     scale = max(np.trace(AtA) / (M * M), 1.0)
-    AtA[np.diag_indices_from(AtA)] += ridge * scale
+    AtA[np.diag_indices_from(AtA)] += INIT_RIDGE * scale
     C = np.linalg.solve(AtA, Atb).reshape(M, M)
-    C = 0.5 * (C + C.T)
-    evals, evecs = np.linalg.eigh(C)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    lam0 = np.maximum(evals[:r] / s, _EIG_FLOOR)
-    B0, lam0 = canonicalize(evecs[:, :r], lam0)
-    return StiefelPoint(B0), _strictly_decreasing(lam0)
+    return _top_eigenpairs(0.5 * (C + C.T), r, 0.0, floor)
 
 
 def _random_start(M: int, r: int, rng: np.random.Generator):
@@ -144,31 +142,30 @@ class FunctionalObjective:
     """Curve-data loss: the average over curves of one half the Gaussian
     negative log likelihood of each curve's marginal covariance.
 
-    Its default grad_tol is 1e-6: the loss is a long float sum, so its
-    gradient cannot be certified much below the rounding noise of that sum.
+    It holds the statistics of y / sqrt(sigma2); `offset` = 0.5 mean(m_i) log
+    sigma2.  Its default grad_tol is 1e-6: the loss is a long float sum, so
+    its gradient cannot be certified much below the rounding noise of that sum.
     """
 
     batches: CurveBatches
-    M: int
     sigma2: float
     s: float
+    offset: float
     grad_tol: float = 1e-6
     curvature_pairs: ClassVar[int] = CURVATURE_PAIRS
 
     @property
     def dim(self) -> int:
-        return self.M
+        return self.batches.P.shape[1]
 
     def loss(self, theta: ProductPoint) -> float:
-        return model.functional_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.batches)
+        return model.functional_loss(theta.point.B, theta.lam, self.batches) + self.offset
 
     def grad(self, theta: ProductPoint) -> ProductTangent:
-        return calculus.grad_functional_raw(
-            theta.point, theta.lam, self.sigma2, self.s, self.batches
-        )
+        return calculus.grad_functional_raw(theta.point, theta.lam, self.batches)
 
     def pooled_start(self, r: int):
-        return _pooled_fit_functional(self.batches, self.M, r, self.s, INIT_RIDGE)
+        return _pooled_fit_functional(self.batches, r, _EIG_FLOOR * self.s / self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -176,60 +173,69 @@ class MatrixObjective:
     """Sample-covariance loss tr(Gamma^-1 S) + log det Gamma (no 1/2 factor,
     the convention the score calculus differentiates).
 
-    The gradient works on the normalized scale of `calculus.rescaled`: the
-    zeta shift log(s / sigma2) is formed once here, and each gradient forms
-    S B / sigma2 once for both of its blocks (dividing the M x r product
-    rather than keeping an M x M copy of S / sigma2).
+    It holds S / sigma2, and `offset` = M log sigma2.  Each gradient forms
+    S B once for both of its blocks.
     """
 
     S: np.ndarray = field(repr=False)
     sigma2: float
     s: float
+    offset: float
     grad_tol: float = 1e-8
-    shift: float = field(init=False, repr=False)
     # the Fisher direction is already the exact Newton direction at the
     # optimum here; an L-BFGS memory on top of it made the fits slower
     curvature_pairs: ClassVar[int] = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", np.log(self.s) - np.log(self.sigma2))
 
     @property
     def dim(self) -> int:
         return self.S.shape[0]
 
     def loss(self, theta: ProductPoint) -> float:
-        return model.matrix_loss(theta.point.B, theta.lam, self.sigma2, self.s, self.S)
+        return model.matrix_loss(theta.point.B, theta.lam, self.S) + self.offset
 
     def grad(self, theta: ProductPoint) -> ProductTangent:
-        theta_n = ProductPoint(theta.point, theta.zeta + self.shift)
-        SB = (self.S @ theta.point.B) / self.sigma2
+        SB = self.S @ theta.point.B
         return ProductTangent(
-            calculus.grad_B_scaled(theta_n, SB), calculus.grad_zeta_scaled(theta_n, SB)
+            calculus.grad_B_scaled(theta, SB), calculus.grad_zeta_scaled(theta, SB)
         )
 
     def pooled_start(self, r: int):
-        return _pooled_pca_matrix(self.S, r, self.sigma2, self.s)
+        return _top_eigenpairs(self.S, r, 1.0, _EIG_FLOOR * self.s / self.sigma2, full_rank=True)
 
 
 Objective = FunctionalObjective | MatrixObjective
 
 
 def objective(
-    data: Dataset | SampleCov, basis: OrthoBasis | None, sigma2: float, s: float = 1.0
+    data: Dataset | CurveBatches | SampleCov,
+    basis: OrthoBasis | None,
+    sigma2: float,
+    s: float = 1.0,
 ) -> Objective:
-    """The loss of the data's regime; the descent never looks at the regime again."""
+    """The loss of the data's regime, at the points of `normalized_point`.
+
+    The only code that knows the scales; the descent never looks at them,
+    nor at the regime, again."""
     if isinstance(data, SampleCov):
-        return MatrixObjective(data.cov, sigma2, s)
-    if basis is None:
-        raise ValueError("curve data needs a basis")
-    return FunctionalObjective(curve_batches(data, basis), basis.M, sigma2, s)
+        return MatrixObjective(data.cov / sigma2, sigma2, s, data.cov.shape[0] * np.log(sigma2))
+    if isinstance(data, Dataset):
+        if basis is None:
+            raise ValueError("curve data needs a basis")
+        data = curve_batches(data, basis)
+    batches = replace(data, v=data.v / np.sqrt(sigma2), q=data.q / sigma2, d=data.d / sigma2)
+    return FunctionalObjective(batches, sigma2, s, 0.5 * np.mean(data.m) * np.log(sigma2))
+
+
+def normalized_point(params: ModelParams) -> ProductPoint:
+    """params as a point (B, log lam + log(s / sigma2)) of the objectives' scale."""
+    return ProductPoint(params.B, np.log(params.lam) + np.log(params.s / params.sigma2))
 
 
 def init_params(obj: Objective, r: int, init: str, rng: np.random.Generator) -> ModelParams:
-    """Starting point for the descent (pooled PCA or a random frame)."""
+    """Starting point (pooled PCA or a random frame), on the reported scale."""
     if init == "pooled-pca":
         B0, lam0 = obj.pooled_start(r)
+        lam0 = lam0 * obj.sigma2 / obj.s
     elif init == "random":
         B0, lam0 = _random_start(obj.dim, r, rng)
     else:
@@ -313,9 +319,7 @@ class CurvatureMemory:
         self.add(rows[2 * k], self.flat(grad) - rows[2 * k + 1])
 
 
-def _direction(
-    theta, grad, obj: Objective, memory: CurvatureMemory | None = None
-) -> ProductTangent:
+def _direction(theta, grad, memory: CurvatureMemory | None = None) -> ProductTangent:
     """Search direction: the L-BFGS two-loop recursion over `memory` in the
     product metric, with the closed-form population Hessian inverse as its
     initial operator H0 (the identity near eigenvalue ties).  H0 scales A
@@ -332,11 +336,10 @@ def _direction(
             q = q - alpha[i] * memory.Y[i]
         qA, qC, qz = memory.split(q)
         qB = TangentVector(point, qA, qC)
-    theta_n = ProductPoint(point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
     try:
-        hB = calculus.inv_hessian_star_B(theta_n, qB)
-        lam_n = theta_n.lam
-        hz = np.minimum(((1.0 + lam_n) / lam_n) ** 2, 1e4) * qz
+        hB = calculus.inv_hessian_star_B(theta, qB)
+        lam = theta.lam
+        hz = np.minimum(((1.0 + lam) / lam) ** 2, 1e4) * qz
     except calculus.NearDegenerateError:
         hB, hz = qB, qz
     hA, hC = hB.A, hB.C
@@ -380,7 +383,7 @@ def step(
         return theta, StepInfo(loss0, gnorm, 0.0, 0, False)
     if memory is not None:
         memory.observe(theta.point.B, grad)
-    d = _direction(theta, grad, obj, memory)
+    d = _direction(theta, grad, memory)
     slope = product_inner(grad, d)
     if slope >= 0.0:  # fall back if preconditioning failed to give descent
         d = grad.scaled(-1.0)
@@ -411,7 +414,13 @@ def _run_descent(theta, obj: Objective, config: FitConfig):
     """Descend from theta.  Returns the final point, the loss trace, the stop
     reason, the iteration count, and the gradient norm at the final point
     when the last step already computed it (None otherwise)."""
-    trace = [obj.loss(theta)]
+    try:
+        trace = [obj.loss(theta)]
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "the loss at the start cannot be factored: sigma2 is too small against the "
+            f"start's signal to factor curves with fewer than r={theta.zeta.size} points"
+        ) from None
     memory = None
     if obj.curvature_pairs:
         memory = CurvatureMemory(obj.curvature_pairs, *theta.point.shape)
@@ -465,15 +474,14 @@ def fit(
         init = config.init if ridx == 0 else "random"
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, ridx]))
         start = init_params(obj, r, init, rng)
-        theta0 = ProductPoint(start.B, np.log(start.lam))
-        theta, trace, reason, it, gnorm = _run_descent(theta0, obj, config)
+        theta, trace, reason, it, gnorm = _run_descent(normalized_point(start), obj, config)
         if gnorm is None:
             gnorm = obj.grad(theta).norm()
         cand = (trace[-1], ridx, theta, gnorm, reason, it, trace)
         if best is None or cand[0] < best[0] - 1e-12:
             best = cand
     loss, ridx, theta, gnorm, reason, it, trace = best
-    Bc, lamc = canonicalize(theta.point.B, theta.lam)
+    Bc, lamc = canonicalize(theta.point.B, theta.lam * sigma2 / s)
     params = ModelParams(M=Bc.shape[0], r=r, B=StiefelPoint(Bc), lam=lamc, sigma2=sigma2, s=s)
     return FitResult(
         params=params,

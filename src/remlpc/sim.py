@@ -136,7 +136,7 @@ def sample_dataset(
         eps[a:b] = rng.standard_normal(b - a)
     # one vectorized eigenfunction sweep over the pooled design points
     F = truth.eigenfunctions(t)
-    scores = np.sqrt(truth.eigenvalues) * xi
+    scores = np.sqrt(s * truth.eigenvalues) * xi
     signal = np.concatenate([np.empty(0), *(F[a:b] @ scores[i] for i, (a, b) in bounds)])
     return Dataset(t, signal + np.sqrt(sigma2) * eps, offsets)
 

@@ -46,11 +46,10 @@ from remlpc import calculus
 from remlpc.model import (
     CurveData,
     Dataset,
-    curve_batches,
-    functional_loss,
     marginal_cov,
     matrix_loss,
 )
+from remlpc.optimizer import normalized_point, objective
 
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -225,7 +224,7 @@ def test_criterion_06_derivative_stack():
         S = spiked_sample_cov(7, 3, 150, 200 + k)
         g = ProductTangent(calculus.grad_B(theta, S), calculus.grad_zeta(theta, S))
         d = _rand_dir(theta, 300 + k)
-        want = _fd_slope(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), 1.0, 1.0, S),
+        want = _fd_slope(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), S),
                          theta, d, h)
         worst_g = max(worst_g, abs(product_inner(g, d) - want) / max(1.0, abs(want)))
     # 8 functional-regime instances
@@ -243,13 +242,11 @@ def test_criterion_06_derivative_stack():
                 times=t,
                 values=np.linalg.cholesky(marginal_cov(truth, Phi)) @ rng.standard_normal(m),
             ))
-        batches = curve_batches(Dataset.functional(curves), basis)
-        gp = calculus.grad_functional_raw(theta.point, np.exp(theta.zeta), 0.4, 1.1, batches)
-        d = _rand_dir(theta, 500 + k)
-        want = _fd_slope(
-            lambda th: functional_loss(th.point.B, np.exp(th.zeta), 0.4, 1.1, batches),
-            theta, d, h,
-        )
+        obj = objective(Dataset.functional(curves), basis, 0.4, 1.1)
+        theta_n = normalized_point(truth)
+        gp = obj.grad(theta_n)
+        d = _rand_dir(theta_n, 500 + k)
+        want = _fd_slope(obj.loss, theta_n, d, h)
         worst_g = max(
             worst_g,
             abs(product_inner(gp, d) - want) / max(1.0, abs(want)),
@@ -261,7 +258,7 @@ def test_criterion_06_derivative_stack():
         theta = _rand_theta(6, 2, 600 + k)
         S = spiked_sample_cov(6, 2, 120, 700 + k)
         Ub = tangent_project(theta.point, np.random.default_rng(800 + k).standard_normal((6, 2)))
-        want = _fd_curve(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), 1.0, 1.0, S),
+        want = _fd_curve(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), S),
                          theta, ProductTangent(Ub, np.zeros(2)), 1e-3)
         got = calculus.hessian_B_bilinear(theta, S, Ub, Ub)
         worst_h = max(worst_h, abs(got - want) / max(1.0, abs(want)))
@@ -270,7 +267,7 @@ def test_criterion_06_derivative_stack():
             e = np.zeros(2)
             e[i] = 1.0
             dz = ProductTangent(TangentVector(theta.point, np.zeros((2, 2)), np.zeros((6, 2))), e)
-            want = _fd_curve(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), 1.0, 1.0, S),
+            want = _fd_curve(lambda th: matrix_loss(th.point.B, np.exp(th.zeta), S),
                              theta, dz, 1e-4)
             worst_h = max(worst_h, abs(Hz[i] - want) / max(1.0, abs(want)))
 

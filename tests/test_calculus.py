@@ -17,11 +17,10 @@ from remlpc.model import (
     ModelParams,
     SampleCov,
     curve_batches,
-    functional_loss,
     marginal_cov,
     matrix_loss,
 )
-from remlpc.optimizer import MatrixObjective, objective
+from remlpc.optimizer import normalized_point, objective
 from remlpc.stiefel import (
     ProductPoint,
     ProductTangent,
@@ -35,8 +34,8 @@ from remlpc.stiefel import (
 )
 
 
-def matrix_loss_at(theta, S, sigma2=1.0, s=1.0):
-    return matrix_loss(theta.point.B, np.exp(theta.zeta), sigma2, s, S)
+def matrix_loss_at(theta, S):
+    return matrix_loss(theta.point.B, np.exp(theta.zeta), S)
 
 
 def geodesic_fd(loss, theta, d, h):
@@ -157,7 +156,7 @@ def test_curve_statistics_match_the_dense_likelihood(counts, M, r, extra, sigma2
     curves = [CurveData(times=rng.uniform(0.0, 1.0, m), values=2.0 * rng.standard_normal(m))
               for m in counts]
     basis = make_basis(M)
-    batches = curve_batches(Dataset.functional(curves), basis)
+    obj = objective(Dataset.functional(curves), basis, sigma2, s)
     theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
     B, lam_eff = theta.point.B, s * theta.lam
     params = ModelParams(M=M, r=r, B=theta.point, lam=theta.lam, sigma2=sigma2, s=s)
@@ -174,9 +173,9 @@ def test_curve_statistics_match_the_dense_likelihood(counts, M, r, extra, sigma2
         gz += 0.5 * np.einsum("mk,mk->k", B, dF)
     n = len(curves)
     want_loss = loss / n
-    got_loss = functional_loss(B, theta.lam, sigma2, s, batches)
+    got_loss = obj.loss(normalized_point(params))
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
-    got = calculus.grad_functional_raw(theta.point, theta.lam, sigma2, s, batches)
+    got = obj.grad(normalized_point(params))
     want_U = intrinsic_grad(theta.point, F / n).full()
     assert np.max(np.abs(got.U.full() - want_U)) <= 1e-10 * max(1.0, np.max(np.abs(want_U)))
     want_z = gz / n
@@ -185,10 +184,11 @@ def test_curve_statistics_match_the_dense_likelihood(counts, M, r, extra, sigma2
 
 def test_objective_grads_call_the_kernels(monkeypatch):
     sigma2, s = 0.4, 1.1
-    basis, data, batches = make_functional(5, 2, 12, seed=21, sigma2=sigma2, s=s)
+    basis, data, _ = make_functional(5, 2, 12, seed=21, sigma2=sigma2, s=s)
     theta = random_product_point(5, 2, 22)
-    g = objective(data, basis, sigma2, s).grad(theta)
-    want = calculus.grad_functional_raw(theta.point, theta.lam, sigma2, s, batches)
+    obj = objective(data, basis, sigma2, s)
+    g = obj.grad(theta)
+    want = calculus.grad_functional_raw(theta.point, theta.lam, obj.batches)
     assert np.array_equal(g.U.full(), want.U.full())
     assert np.array_equal(g.dzeta, want.dzeta)
     S = spiked_sample_cov(5, 2, 90, 23, sigma2=sigma2, s=s)
@@ -209,9 +209,9 @@ def test_objective_grads_call_the_kernels(monkeypatch):
     gm = obj.grad(theta)
     # one call of each kernel per gradient
     assert calls == ["grad_B_scaled", "grad_zeta_scaled"]
-    theta_n, Sn = calculus.rescaled(theta, S, sigma2, s)
-    assert np.max(np.abs(gm.U.full() - calculus.grad_B(theta_n, Sn).full())) < 1e-14
-    assert np.max(np.abs(gm.dzeta - calculus.grad_zeta(theta_n, Sn))) < 1e-14
+    # on the normalized scale: theta as it is, S / sigma2
+    assert np.max(np.abs(gm.U.full() - calculus.grad_B(theta, S / sigma2).full())) < 1e-14
+    assert np.max(np.abs(gm.dzeta - calculus.grad_zeta(theta, S / sigma2))) < 1e-14
     gv = ProductTangent(gm.U, gm.dzeta)
     assert gm.norm() == np.sqrt(product_inner(gv, gv))
 
@@ -330,16 +330,19 @@ def test_rescaling_reduces_general_scale_to_normalized():
     sigma2, s = 0.6, 1.7
     theta = random_product_point(6, 2, 121)
     S = spiked_sample_cov(6, 2, 130, 122, sigma2=sigma2, s=s)
-    theta_n, Sn = calculus.rescaled(theta, S, sigma2, s)
+    params = ModelParams(M=6, r=2, B=theta.point, lam=theta.lam, sigma2=sigma2, s=s)
+    theta_n = normalized_point(params)
     assert np.max(np.abs(theta_n.zeta - (theta.zeta + np.log(s) - np.log(sigma2)))) < 1e-15
-    assert np.max(np.abs(Sn - S / sigma2)) < 1e-15
-    # the matrix objective shifts zeta and hands the kernels S~ B = S B / sigma2
-    obj = MatrixObjective(S, sigma2, s)
-    theta_o = ProductPoint(theta.point, theta.zeta + obj.shift)
-    SB = (S @ theta.point.B) / sigma2
-    g_gen = calculus.grad_B_scaled(theta_o, SB)
-    g_norm = calculus.grad_B(theta_n, Sn)
-    assert np.max(np.abs(g_gen.full() - g_norm.full())) < 1e-13
-    z_gen = calculus.grad_zeta_scaled(theta_o, SB)
-    z_norm = calculus.grad_zeta(theta_n, Sn)
-    assert np.max(np.abs(z_gen - z_norm)) < 1e-13
+    # the matrix objective holds S / sigma2 and evaluates at zeta_n
+    obj = objective(SampleCov(S, 130), None, sigma2, s)
+    assert np.max(np.abs(obj.S - S / sigma2)) < 1e-15
+    # its loss is that of the general scale
+    B, lam = theta.point.B, theta.lam
+    gamma = s * (B * lam) @ B.T + sigma2 * np.eye(6)
+    want = np.trace(np.linalg.solve(gamma, S)) + np.linalg.slogdet(gamma)[1]
+    assert abs(obj.loss(theta_n) - want) < 1e-13 * abs(want)
+    g = obj.grad(theta_n)
+    g_norm = calculus.grad_B(theta_n, S / sigma2)
+    assert np.max(np.abs(g.U.full() - g_norm.full())) < 1e-13
+    z_norm = calculus.grad_zeta(theta_n, S / sigma2)
+    assert np.max(np.abs(g.dzeta - z_norm)) < 1e-13

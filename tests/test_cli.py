@@ -11,7 +11,7 @@ import pytest
 
 from conftest import spiked_sample_cov
 from remlpc import cli
-from remlpc.model import CurveData, SampleCov
+from remlpc.model import CurveData, Dataset, SampleCov
 from remlpc.sim import make_true_kernel, sample_dataset
 
 
@@ -307,6 +307,20 @@ def test_fit_survives_a_trial_whose_loss_cannot_be_factored(tmp_path, capsys):
                    "--restarts", "2", "--out", str(tmp_path / "fit.json")])
     assert rc in (0, 2), capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_start_whose_loss_cannot_be_factored_exits_65_naming_the_cause(tmp_path, capsys):
+    # 8 curves of 2 points with |y| near 1e5 and sigma2 = 1e-8: the pooled
+    # start's sigma2 / lam vanishes against the rank-2 H_i of each curve
+    rng = np.random.default_rng(0)
+    t, y = rng.uniform(0.0, 1.0, 16), 1e5 * rng.standard_normal(16)
+    p = tmp_path / "curves.csv"
+    cli.write_curves_csv(str(p), Dataset(t, y, np.arange(0, 17, 2)))
+    assert cli.main(["fit", "--data", str(p), "--M", "6", "--r", "3",
+                     "--sigma2", "1e-8", "--restarts", "1"]) == 65
+    err = capsys.readouterr().err
+    assert "sigma2 is too small against the start's signal" in err
+    assert "fewer than r=3 points" in err
 
 
 def test_nonconvergence_exits_2_but_writes(tmp_path, curves_file, capsys):

@@ -25,7 +25,7 @@ from remlpc.model import (
     matrix_loss,
     optimal_parameter,
 )
-from remlpc.optimizer import FunctionalObjective, MatrixObjective, objective
+from remlpc.optimizer import FunctionalObjective, MatrixObjective, normalized_point, objective
 from remlpc.sim import make_true_kernel
 from remlpc.stiefel import ProductPoint, StiefelPoint
 
@@ -251,11 +251,11 @@ def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, 
     data = toy_curves(12, basis, truth, seed=seed, m_lo=m_lo, m_hi=m_lo + m_span)
     theta = random_product_point(M, r, seed + 1, zeta_scale=1.5)
     params = params_at(theta, sigma2, s)
+    theta_n = normalized_point(params)
     obj = objective(data, basis, sigma2, s)
     # each curve's term is the loss of that curve alone
     terms = np.array([
-        functional_loss(theta.point.B, theta.lam, sigma2, s,
-                        curve_batches(Dataset(c.times, c.values, [0, c.m]), basis))
+        objective(Dataset(c.times, c.values, [0, c.m]), basis, sigma2, s).loss(theta_n)
         for c in data.curves])
     dense = []
     for c in data.curves:
@@ -265,7 +265,7 @@ def test_functional_loss_matches_dense_marginals(M, r, m_lo, m_span, sigma2, s, 
     dense = np.array(dense)
     assert np.all(np.abs(terms - dense) <= 1e-10 * np.maximum(1.0, np.abs(dense)))
     want = np.mean(dense)
-    assert abs(obj.loss(theta) - want) <= 1e-10 * max(1.0, abs(want))
+    assert abs(obj.loss(theta_n) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 @settings(max_examples=30)
@@ -277,7 +277,8 @@ def test_matrix_loss_matches_dense_formula(M, r, sigma2, s, seed):
     gamma = s * (B * lam) @ B.T + sigma2 * np.eye(M)
     sign, logdet = np.linalg.slogdet(gamma)
     want = np.trace(np.linalg.solve(gamma, S)) + logdet
-    got = objective(SampleCov(S, 300), None, sigma2, s).loss(theta)
+    got = objective(SampleCov(S, 300), None, sigma2, s).loss(
+        normalized_point(params_at(theta, sigma2, s)))
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -320,12 +321,12 @@ def test_objective_factory_dispatches_by_regime():
     S = spiked_sample_cov(5, 2, 100, seed=10)
     obj = objective(SampleCov(S, 100), None, params.sigma2, params.s)
     assert isinstance(obj, MatrixObjective) and obj.dim == 5
-    assert obj.loss(theta) == matrix_loss(B, lam, params.sigma2, params.s, obj.S)
+    assert obj.loss(theta) == matrix_loss(B, lam, obj.S) + obj.offset
     basis = make_basis(5)
     data = toy_curves(10, basis, params, seed=11)
     obj = objective(data, basis, params.sigma2, params.s)
     assert isinstance(obj, FunctionalObjective) and obj.dim == 5
-    want = functional_loss(B, lam, params.sigma2, params.s, curve_batches(data, basis))
+    want = functional_loss(B, lam, obj.batches) + obj.offset
     assert obj.loss(theta) == want
     with pytest.raises(ValueError):
         objective(data, None, params.sigma2)  # functional data needs a basis

@@ -249,12 +249,11 @@ def test_curve_descent_converges_superlinearly():
     assert res.loss <= FISHER_LOSS_SEED1 + 1e-12
 
 
-def fisher_direction(theta, grad, obj):
+def fisher_direction(theta, grad):
     """The population-Hessian preconditioned direction, written out."""
-    theta_n = ProductPoint(theta.point, theta.zeta + np.log(obj.s) - np.log(obj.sigma2))
-    dB = calculus.inv_hessian_star_B(theta_n, grad.U).scaled(-1.0)
-    lam_n = theta_n.lam
-    return dB, -np.minimum(((1.0 + lam_n) / lam_n) ** 2, 1e4) * grad.dzeta
+    dB = calculus.inv_hessian_star_B(theta, grad.U).scaled(-1.0)
+    lam = theta.lam
+    return dB, -np.minimum(((1.0 + lam) / lam) ** 2, 1e4) * grad.dzeta
 
 
 FUNCTIONAL = small_functional(n=40, seed=13)
@@ -282,9 +281,9 @@ def test_empty_memory_gives_the_fisher_direction_bit_for_bit(regime, M, r, seed)
     obj, M, r = regime_objective(regime, M, r, seed)
     theta = random_product_point(M, r, seed)
     grad = obj.grad(theta)
-    dB, dz = fisher_direction(theta, grad, obj)
+    dB, dz = fisher_direction(theta, grad)
     for memory in (None, optimizer.CurvatureMemory(5, M, r)):
-        d = optimizer._direction(theta, grad, obj, memory)
+        d = optimizer._direction(theta, grad, memory)
         assert np.array_equal(d.U.A, dB.A) and np.array_equal(d.U.C, dB.C)
         assert np.array_equal(d.dzeta, dz)
 
@@ -305,7 +304,7 @@ def filled_memory(point, k, seed):
 @given(M=st.integers(4, 9), r=st.integers(1, 3), k=st.integers(1, 7),
        seed=st.integers(0, 2**16), degenerate=st.booleans())
 def test_two_loop_direction_descends_and_meets_the_secant_equation(M, r, k, seed, degenerate):
-    obj, M, r = regime_objective("matrix", M, r, seed)
+    _, M, r = regime_objective("matrix", M, r, seed)
     theta = random_product_point(M, r, seed)
     if degenerate:  # tied eigenvalues: H0 falls back to the identity
         theta = ProductPoint(theta.point, np.zeros(r) if r > 1 else np.array([-30.0]))
@@ -316,12 +315,12 @@ def test_two_loop_direction_descends_and_meets_the_secant_equation(M, r, k, seed
     g = flat_tangent(theta.point, seed + 1000)
     gA, gC, gz = memory.split(g)
     grad = stiefel.ProductTangent(stiefel.TangentVector(theta.point, gA, gC), gz.copy())
-    d = optimizer._direction(theta, grad, obj, memory)
+    d = optimizer._direction(theta, grad, memory)
     assert stiefel.product_inner(grad, d) < 0.0
     # the two-loop operator maps the newest y to the newest s
     yA, yC, yz = memory.split(memory.Y[-1])
     y_grad = stiefel.ProductTangent(stiefel.TangentVector(theta.point, yA, yC), yz.copy())
-    d_y = optimizer._direction(theta, y_grad, obj, memory)
+    d_y = optimizer._direction(theta, y_grad, memory)
     s_row = memory.flat(d_y)
     assert np.allclose(-s_row, memory.S[-1], rtol=1e-8, atol=1e-8 * np.abs(memory.S[-1]).max())
 
@@ -410,6 +409,59 @@ def test_pooled_start_does_not_depend_on_s():
     assert np.allclose(0.1 * res[0.1].params.lam, res[1.0].params.lam, rtol=1e-6, atol=0.0)
 
 
+def test_start_whose_loss_cannot_be_factored_names_the_cause():
+    # curves of 2 points cannot pin a rank-3 G_i = H_i + diag(1 / lam_n)
+    # once the start's lam_n = s lam / sigma2 (near 1e18 here) drowns 1 / lam_n
+    rng = np.random.default_rng(0)
+    t, y = rng.uniform(0.0, 1.0, 16), 1e5 * rng.standard_normal(16)
+    data = Dataset(t, y, np.arange(0, 17, 2))
+    with pytest.raises(ValueError, match="sigma2 is too small against the start's signal"):
+        fit(data, make_basis(6), 3, 1e-8, 1.0, FitConfig(restarts=1))
+
+
+# eigenvalues well above the start's floor of 1e-6 (reported scale) in
+# every rescaled copy below, down to c^2 lam at c = 2^-10
+UNITS_TRUTH = make_true_kernel("spline", [8.0, 4.0, 2.0], M_ref=4, seed=5)
+
+
+@pytest.mark.parametrize("c", [3.0, 2.0**-10])
+def test_curve_fit_is_equivariant_in_the_units_of_y(c):
+    data = sample_dataset(UNITS_TRUTH, "sparse", 256, (1, 256, 0), sigma2=0.25, m_bounds=(2, 8))
+    basis = make_basis(5)
+    base = fit(data, basis, 3, 0.25, 1.0, FitConfig(restarts=1))
+    scaled = fit(Dataset(data.t, c * data.y, data.offsets), basis, 3, 0.25 * c * c, 1.0,
+                 FitConfig(restarts=1))
+    assert scaled.n_iter == base.n_iter and scaled.stop_reason == base.stop_reason
+    assert np.allclose(scaled.params.lam, c * c * base.params.lam, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(scaled.params.B.B - base.params.B.B)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.1, 4.0])
+def test_curve_fit_sees_s_only_through_s_lam(c):
+    data = sample_dataset(UNITS_TRUTH, "sparse", 256, (1, 256, 0), sigma2=0.25, m_bounds=(2, 8))
+    basis = make_basis(5)
+    base = fit(data, basis, 3, 0.25, 1.0, FitConfig(restarts=1))
+    scaled = fit(data, basis, 3, 0.25, c, FitConfig(restarts=1))
+    assert scaled.n_iter == base.n_iter and scaled.stop_reason == base.stop_reason
+    assert np.allclose(scaled.params.lam, base.params.lam / c, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(scaled.params.B.B - base.params.B.B)) <= 1e-12
+
+
+def test_matrix_descent_is_equivariant_under_rotation():
+    # from a random start B0, and from O B0 for the rotated covariance O S O^T
+    S = spiked_sample_cov(8, 3, 300, seed=3)
+    O, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((8, 8)))
+    obj = objective(SampleCov(S, 300), None, 1.0)
+    rot = objective(SampleCov(O @ S @ O.T, 300), None, 1.0)
+    theta0 = optimizer.normalized_point(init_params(obj, 3, "random", np.random.default_rng(2)))
+    theta, _, reason, it, _ = optimizer._run_descent(theta0, obj, FitConfig())
+    theta0_rot = ProductPoint(stiefel.StiefelPoint(O @ theta0.point.B), theta0.zeta)
+    theta_rot, _, reason_rot, it_rot, _ = optimizer._run_descent(theta0_rot, rot, FitConfig())
+    assert (it_rot, reason_rot) == (it, reason) and reason == "grad-tol"
+    assert np.max(np.abs(theta_rot.point.B - O @ theta.point.B)) <= 1e-12
+    assert np.allclose(theta_rot.lam, theta.lam, rtol=1e-12, atol=0.0)
+
+
 def test_init_params_shapes_and_floor():
     rng = np.random.default_rng(9)
     S = spiked_sample_cov(9, 2, 250, seed=9)
@@ -477,8 +529,7 @@ def test_pooled_initializer_matches_pairwise_reference(M, r, m_lo, m_span, seed)
     ends = np.cumsum(ms)[:-1]
     curves = [CurveData(times=tc, values=yc) for tc, yc in zip(np.split(t, ends), np.split(y, ends))]
     data = Dataset.functional(curves)
-    batches = objective(data, basis, 0.2).batches
-    point, lam = optimizer._pooled_fit_functional(batches, M, r, 1.0, optimizer.INIT_RIDGE)
+    point, lam = objective(data, basis, 1.0).pooled_start(r)
     B_ref, lam_ref = pooled_fit_reference(data, basis, r, optimizer.INIT_RIDGE)
     assert np.all(np.abs(lam - lam_ref) <= 1e-10 * lam_ref)
     assert np.max(np.abs(point.B - B_ref)) <= 1e-10
@@ -535,8 +586,8 @@ def test_dense_design_equals_half_the_matrix_objective(M, r, extra, sigma2, s, s
     # with Phi_i = Q orthonormal, y_i splits into Q^T y_i, which sees the
     # matrix-regime covariance, and a residual that sees sigma2 alone
     batches, S_bar, const = dense_design(M, r, extra, sigma2, seed, per_group=200)
-    fobj = optimizer.FunctionalObjective(batches, M, sigma2, s)
-    mobj = optimizer.MatrixObjective(S_bar, sigma2, s)
+    fobj = objective(batches, None, sigma2, s)
+    mobj = objective(SampleCov(S_bar, batches.n), None, sigma2, s)
     theta = random_product_point(M, r, seed + 2)
     want = 0.5 * mobj.loss(theta) + const
     assert abs(fobj.loss(theta) - want) <= 1e-12 * max(1.0, abs(want))
@@ -544,17 +595,18 @@ def test_dense_design_equals_half_the_matrix_objective(M, r, extra, sigma2, s, s
     assert np.max(np.abs(gf.U.full() - 0.5 * gm.U.full())) < 1e-10
     assert np.max(np.abs(gf.dzeta - 0.5 * gm.dzeta)) < 1e-10
     pca = pca_fit(S_bar, r, sigma2, s)
-    assert fobj.grad(ProductPoint(pca.B, np.log(pca.lam))).norm() < 1e-10
+    assert fobj.grad(optimizer.normalized_point(pca)).norm() < 1e-10
 
 
 def test_dense_design_descent_lands_on_the_closed_form():
     batches, S_bar, _ = dense_design(5, 3, [0, 2, 4], 0.5, seed=4, per_group=1400)
-    obj = optimizer.FunctionalObjective(batches, 5, 0.5, 1.0)
+    obj = objective(batches, None, 0.5, 1.0)
     start = init_params(obj, 3, "pooled-pca", None)
-    theta0 = ProductPoint(start.B, np.log(start.lam))
+    theta0 = optimizer.normalized_point(start)
     theta, _, reason, _, _ = optimizer._run_descent(theta0, obj, FitConfig())
     assert reason == "grad-tol"
-    B, lam = canonicalize(theta.point.B, theta.lam)
+    # back from zeta_n to the reported scale, lam = exp(zeta_n) sigma2 / s
+    B, lam = canonicalize(theta.point.B, theta.lam * 0.5)
     pca = pca_fit(S_bar, 3, 0.5, 1.0)
     assert np.max(np.abs(B - pca.B.B)) < 1e-5
     assert np.max(np.abs(lam - pca.lam)) < 1e-5

@@ -59,6 +59,16 @@ def test_sample_dataset_shapes_and_determinism():
     assert not np.array_equal(d1.curves[0].values, d3.curves[0].values)
 
 
+def test_sample_dataset_draws_curve_scores_with_variance_s_lam():
+    # with next to no noise, y is the signal alone, whose scores scale by sqrt(s)
+    truth = make_true_kernel("spline", [2.0, 1.0, 0.5], M_ref=4, seed=5)
+    draw = {s: sample_dataset(truth, "sparse", 40, (5, 40, 0), sigma2=1e-12, s=s,
+                              m_bounds=(2, 6)) for s in (1.0, 0.25)}
+    assert np.array_equal(draw[0.25].t, draw[1.0].t)
+    half = 0.5 * draw[1.0].y
+    assert np.linalg.norm(draw[0.25].y - half) <= 1e-5 * np.linalg.norm(half)
+
+
 def test_sample_dataset_dense_and_matrix():
     truth = make_true_kernel("fourier", [2.0, 1.0], seed=3)
     dense = sample_dataset(truth, "dense", 5, (1, 5, 0), m=25)
